@@ -14,14 +14,14 @@
 //                  across jobs.
 //
 // Part 2 -- sustained load: two producer threads push a stream of tiny
-// sub-millisecond jobs (32 x 32 clip, one outer step) through the sharded
-// lock-free dispatch queue, the regime this PR's serving core targets:
+// sub-millisecond jobs (32 x 32 clip, one outer step) through the FIFO
+// dispatch queue, the regime the serving core targets:
 //
-//   sustained_legacy        -- the pre-sharding shape of the persistent
-//                              scheduler: one exact-FIFO queue shard, no
-//                              stealing, no coalescing, no warm pools,
-//   sustained               -- the full serving core: sharded rings, work
-//                              stealing, same-key job coalescing,
+//   sustained_no_coalesce   -- the default scheduler with coalescing off
+//                              (coalesce_limit = 1): the ablation row for
+//                              small-job coalescing,
+//   sustained               -- the full serving core: same-key job
+//                              coalescing over the shared dispatch queue,
 //   sustained_overload_shed -- offered load far above a small queue
 //                              capacity under the shed-oldest admission
 //                              policy (bounded queue latency, some jobs
@@ -30,16 +30,15 @@
 //                              (fail-fast admission).
 //
 // Reported per regime: jobs/sec at saturation, p50/p95/p99 queue latency
-// (JobResult::queued_ms), steal/coalesce/shed/reject counters.  The bench
-// FAILS (non-zero exit) when the sustained serving core is not at least
-// 5x the classic persistent regime's jobs/sec -- the cheap-job dispatch
-// overhead is exactly what the sharded queue exists to kill -- or when
-// warm lane pools are never reused.
+// (JobResult::queued_ms), coalesce/shed/reject counters.  The bench FAILS
+// (non-zero exit) when the sustained serving core is not at least 5x the
+// classic persistent regime's jobs/sec -- cheap jobs must not pay the
+// per-dispatch overhead of medium ones -- or when warm lane pools are
+// never reused.
 //
 // Results land in BENCH_serve.json.  `--quick` shrinks the sustained
 // streams for CI smoke runs.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -238,7 +237,7 @@ int main(int argc, char** argv) {
               persistent_jps / transient_jps, stats.workspace_reuses,
               stats.lane_pool_reuses);
 
-  // -- Part 2: sustained tiny-job load through the sharded queue. --------
+  // -- Part 2: sustained tiny-job load through the dispatch queue. -------
   const std::size_t sustained_jobs = quick ? 96 : 384;
   std::vector<api::JobSpec> tiny;
   tiny.reserve(sustained_jobs);
@@ -262,15 +261,12 @@ int main(int argc, char** argv) {
     (void)warmup.run(tiny[0]);
   }
 
-  // The pre-sharding scheduler shape: one FIFO shard behind one mutex
-  // path, no stealing, no coalescing, no warm pool cache.
-  api::Session::Options legacy;
-  legacy.threads = args.threads;
-  legacy.work_stealing = false;
-  legacy.coalesce_limit = 1;
-  legacy.pool_cache_cap = 0;
-  const SustainedResult legacy_run =
-      run_sustained(legacy, tiny, api::SubmitOptions{});
+  // Coalescing ablation: the default scheduler with batching switched off.
+  api::Session::Options no_coalesce;
+  no_coalesce.threads = args.threads;
+  no_coalesce.coalesce_limit = 1;
+  const SustainedResult no_coalesce_run =
+      run_sustained(no_coalesce, tiny, api::SubmitOptions{});
 
   // The full serving core (defaults) + the shared coalesce key.
   api::Session::Options serving;
@@ -282,7 +278,6 @@ int main(int argc, char** argv) {
 
   // Overload: offered load far above a small queue capacity.
   api::Session::Options overload = serving;
-  overload.queue_shards = 1;
   overload.queue_capacity = quick ? 16 : 32;
   api::SubmitOptions shed_submit = coalesced_submit;
   shed_submit.queue_policy = api::QueuePolicy::kShedOldest;
@@ -293,18 +288,18 @@ int main(int argc, char** argv) {
       run_sustained(overload, tiny, reject_submit);
 
   std::printf(
-      "sustained_legacy        : %7.1f jobs/sec (%zu/%zu ok, %.2f s), "
+      "sustained_no_coalesce   : %7.1f jobs/sec (%zu/%zu ok, %.2f s), "
       "p50 %.2f p95 %.2f p99 %.2f ms\n",
-      legacy_run.jobs_per_sec(), legacy_run.ok, sustained_jobs,
-      legacy_run.seconds, legacy_run.p50_ms, legacy_run.p95_ms,
-      legacy_run.p99_ms);
+      no_coalesce_run.jobs_per_sec(), no_coalesce_run.ok, sustained_jobs,
+      no_coalesce_run.seconds, no_coalesce_run.p50_ms,
+      no_coalesce_run.p95_ms, no_coalesce_run.p99_ms);
   std::printf(
       "sustained               : %7.1f jobs/sec (%zu/%zu ok, %.2f s), "
-      "p50 %.2f p95 %.2f p99 %.2f ms, steals %zu coalesced %zu pools %zu\n",
+      "p50 %.2f p95 %.2f p99 %.2f ms, coalesced %zu pools %zu\n",
       serving_run.jobs_per_sec(), serving_run.ok, sustained_jobs,
       serving_run.seconds, serving_run.p50_ms, serving_run.p95_ms,
-      serving_run.p99_ms, serving_run.stats.steals,
-      serving_run.stats.coalesced_jobs, serving_run.stats.lane_pool_reuses);
+      serving_run.p99_ms, serving_run.stats.coalesced_jobs,
+      serving_run.stats.lane_pool_reuses);
   std::printf(
       "sustained_overload_shed : %7.1f jobs/sec (%zu/%zu ok, shed %zu), "
       "p50 %.2f p95 %.2f p99 %.2f ms\n",
@@ -317,47 +312,12 @@ int main(int argc, char** argv) {
       reject_run.jobs_per_sec(), reject_run.ok, sustained_jobs,
       reject_run.stats.jobs_rejected, reject_run.p50_ms, reject_run.p95_ms,
       reject_run.p99_ms);
-  std::printf("sustained vs legacy     : %5.2fx | vs classic persistent: "
+  std::printf("sustained vs no_coalesce: %5.2fx | vs classic persistent: "
               "%5.1fx (gate >= 5x)\n",
               serving_run.jobs_per_sec() /
-                  std::max(legacy_run.jobs_per_sec(), 1e-9),
+                  std::max(no_coalesce_run.jobs_per_sec(), 1e-9),
               serving_run.jobs_per_sec() /
                   std::max(persistent_jps, 1e-9));
-
-  // -- Part 3: event-rate ceiling, locked vs batched emission. ----------
-  // A session-wide observer with a realistic per-event cost (metrics
-  // serialization, ~1 us).  With batch_events=false every lane thread
-  // runs that cost inside the emission lock, so the observer is a
-  // serialization point for the whole scheduler; with batch_events=true
-  // lanes append to a flat-combining buffer and one emitter drains it
-  // outside the lock, so lane threads never wait on the consumer.
-  std::atomic<std::uint64_t> event_count{0};
-  const auto counting_observer = [&event_count](const api::JobEvent&) {
-    event_count.fetch_add(1, std::memory_order_relaxed);
-    volatile unsigned sink = 0;
-    for (unsigned k = 0; k < 400; ++k) sink = sink + k;
-  };
-  const auto run_event_case = [&](bool batched) {
-    api::Session::Options opts;
-    opts.threads = args.threads;
-    opts.batch_events = batched;
-    opts.on_event = counting_observer;
-    event_count.store(0, std::memory_order_relaxed);
-    SustainedResult r = run_sustained(opts, tiny, api::SubmitOptions{});
-    const double events = static_cast<double>(
-        event_count.load(std::memory_order_relaxed));
-    return std::make_pair(r, r.seconds > 0.0 ? events / r.seconds : 0.0);
-  };
-  const auto [locked_run, locked_eps] = run_event_case(/*batched=*/false);
-  const auto [batched_run, batched_eps] = run_event_case(/*batched=*/true);
-  std::printf(
-      "events_locked           : %7.1f jobs/sec, %9.0f events/sec\n",
-      locked_run.jobs_per_sec(), locked_eps);
-  std::printf(
-      "events_batched          : %7.1f jobs/sec, %9.0f events/sec "
-      "(%4.2fx ceiling)\n",
-      batched_run.jobs_per_sec(), batched_eps,
-      batched_eps / std::max(locked_eps, 1e-9));
 
   BenchReport report("serve", args);
   report.add("transient", {{"jobs_per_sec", transient_jps},
@@ -381,30 +341,20 @@ int main(int argc, char** argv) {
         {"queue_p50_ms", r.p50_ms},
         {"queue_p95_ms", r.p95_ms},
         {"queue_p99_ms", r.p99_ms},
-        {"steals", static_cast<double>(r.stats.steals)},
         {"coalesced_jobs", static_cast<double>(r.stats.coalesced_jobs)},
         {"jobs_shed", static_cast<double>(r.stats.jobs_shed)},
         {"jobs_rejected", static_cast<double>(r.stats.jobs_rejected)},
         {"lane_pool_reuses", static_cast<double>(r.stats.lane_pool_reuses)}};
   };
-  report.add("sustained_legacy", sustained_row(legacy_run));
+  report.add("sustained_no_coalesce", sustained_row(no_coalesce_run));
   report.add("sustained", sustained_row(serving_run));
   report.add("sustained_overload_shed", sustained_row(shed_run));
   report.add("sustained_overload_reject", sustained_row(reject_run));
-  report.add("events_locked", {{"jobs_per_sec", locked_run.jobs_per_sec()},
-                               {"events_per_sec", locked_eps},
-                               {"seconds", locked_run.seconds}});
-  report.add("events_batched",
-             {{"jobs_per_sec", batched_run.jobs_per_sec()},
-              {"events_per_sec", batched_eps},
-              {"seconds", batched_run.seconds},
-              {"ceiling_vs_locked",
-               batched_eps / std::max(locked_eps, 1e-9)}});
   report.add("speedup",
              {{"persistent_over_transient", persistent_jps / transient_jps},
-              {"sustained_over_legacy",
+              {"sustained_over_no_coalesce",
                serving_run.jobs_per_sec() /
-                   std::max(legacy_run.jobs_per_sec(), 1e-9)},
+                   std::max(no_coalesce_run.jobs_per_sec(), 1e-9)},
               {"sustained_over_persistent",
                serving_run.jobs_per_sec() /
                    std::max(persistent_jps, 1e-9)}});

@@ -67,14 +67,25 @@ const JobResult* JobHandle::try_result() const {
 
 void JobHandle::cancel() const {
   if (state_ == nullptr) return;
-  // The gate pins the scheduler for the duration of the call: if the
-  // session is being destroyed concurrently, either the service is still
-  // alive here (its destructor body blocks on the gate before returning)
-  // or it is gone and this job is already finalized -- never a dangling
-  // dereference.
-  std::lock_guard<std::recursive_mutex> lock(state_->gate->mutex);
-  if (state_->gate->service == nullptr) return;
-  state_->gate->service->cancel_job(state_);
+  // Entering the gate pins the scheduler for the duration of the call: if
+  // the session is being destroyed concurrently, either the service is
+  // still alive here (its destructor waits for `entered` to drop before
+  // returning) or it is gone and this job is already finalized -- never a
+  // dangling dereference.
+  detail::ServiceGate& gate = *state_->gate;
+  detail::JobRouter* router = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(gate.mutex);
+    if (gate.service == nullptr) return;
+    router = gate.service;
+    ++gate.entered;
+  }
+  router->cancel_job(state_);
+  {
+    std::lock_guard<std::mutex> lock(gate.mutex);
+    --gate.entered;
+  }
+  gate.idle.notify_all();
 }
 
 }  // namespace bismo::api

@@ -7,8 +7,10 @@
 // never affects sibling jobs.  Alongside the handle, every job emits a
 // JobEvent stream (enqueued -> started -> step* -> finished) to the
 // session-wide `Session::Options::on_event` observer and the per-job
-// `SubmitOptions::on_event` observer; the legacy per-step ProgressObserver
-// is an adapter over the same feed.
+// `SubmitOptions::on_event` observer.  Events are delivered inline on the
+// emitting thread, so by the time `wait()` returns, every step event of
+// the job has already been observed; only the finished event may still
+// be in delivery.
 //
 // Lifetime: handles keep the job's state alive independently of the
 // session, and the session finalizes every outstanding job on destruction
@@ -75,7 +77,8 @@ struct JobEvent {
 };
 
 /// Observer over a job event feed.  Calls are serialized by the session
-/// (events originate on lane threads); keep them cheap, never block on a
+/// and run inline on the emitting thread (usually a scheduler lane), so a
+/// slow observer stalls that lane; keep them cheap, never block on a
 /// handle of the same session from inside one.
 using JobEventObserver = std::function<void(const JobEvent&)>;
 
@@ -113,8 +116,8 @@ struct SubmitOptions {
   std::size_t lanes_hint = 0;
   /// Per-job event feed (in addition to the session-wide observer).
   JobEventObserver on_event;
-  /// Labeling of this job within its batch (surfaced in events and the
-  /// legacy Progress records; submit_batch fills these in).
+  /// Labeling of this job within its batch (surfaced in events;
+  /// submit_batch fills these in).
   std::size_t batch_index = 0;
   std::size_t batch_count = 1;
   /// Locality group for distributed schedulers: jobs sharing the same
@@ -143,15 +146,24 @@ class JobRouter {
 class JobService;
 
 /// Liveness gate between JobHandles and their scheduler: shared by the
-/// router (JobService or net::Dispatcher) and every job it created.  The
-/// router nulls `service` as the last act of its destructor (with all jobs
-/// already finalized), so a handle can safely route `cancel()` through the
-/// gate no matter which thread is tearing the session down.  Recursive: an
-/// observer invoked under the gate (a finished event from a gated cancel)
-/// may cancel another handle of the same session.
+/// router (JobService or net::Dispatcher) and every job it created.  A
+/// JobHandle::cancel enters the gate while it calls into the router; the
+/// router closes the gate as the last act of its destructor (with all jobs
+/// already finalized), which waits out cancels in progress and turns later
+/// ones into no-ops.  The gate lock is never held across the router call,
+/// so a cancel that emits a finished event (to an observer that may itself
+/// cancel another handle) cannot deadlock with a concurrent cancel.
 struct ServiceGate {
-  std::recursive_mutex mutex;
+  std::mutex mutex;
+  std::condition_variable idle;
   JobRouter* service = nullptr;
+  std::size_t entered = 0;  ///< cancels currently inside the router
+
+  void close() {
+    std::unique_lock<std::mutex> lock(mutex);
+    idle.wait(lock, [this] { return entered == 0; });
+    service = nullptr;
+  }
 };
 
 /// Shared state of one submitted job.  Created by JobService::submit and

@@ -1,29 +1,20 @@
-// Sharded, mostly-lock-free dispatch queue feeding the persistent lane
-// scheduler (multi-producer, multi-consumer).
+// Dispatch queue feeding the persistent lane scheduler (multi-producer,
+// multi-consumer).
 //
-// Layout: one bounded ring segment per shard (Vyukov-style MPMC ring with
-// per-cell sequence numbers and atomic head/tail), plus a queue-level
-// occupancy bitset (one bit per shard) that consumers scan to steal from
-// loaded neighbours.  Priority-0 jobs -- the throughput path -- go through
-// the rings; jobs with a non-zero priority take a small mutex-protected
-// side list ordered by (priority desc, id asc).  The result is relaxed
-// FIFO overall (exact FIFO within a shard, and exact FIFO for single-lane
-// sessions, which get exactly one shard).
+// One mutex guards everything: a pre-sized FIFO ring for priority-0 jobs
+// (the throughput path) and an ordered side list for jobs with a non-zero
+// priority, kept in (priority desc, id asc) order.  Two condition
+// variables park idle lanes (ready) and producers under the block
+// admission policy (space).
 //
-// Ordering contract: higher SubmitOptions::priority first, submission
-// order (the job id) within one priority level per shard.  Jobs cancelled
-// while queued are NOT erased -- they stay in line as terminal entries
-// that lanes skip with a failed status CAS -- so cancellation never races
-// the pop path.
-//
-// Blocking is the fallback, not the norm: pop() only touches the sleep
-// mutex after the priority list, its own shard, and every occupied
-// neighbour shard came up empty, and push only touches it when a consumer
-// is actually asleep.
+// Ordering contract: exact FIFO within each priority level, higher
+// SubmitOptions::priority first.  Positive priorities pop before the ring,
+// negative ones only once the ring is empty.  Jobs cancelled while queued
+// are NOT erased -- they stay in line as terminal entries that lanes skip
+// with a failed status CAS -- so cancellation never races the pop path.
 #ifndef BISMO_API_JOB_QUEUE_HPP
 #define BISMO_API_JOB_QUEUE_HPP
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -36,134 +27,69 @@
 
 namespace bismo::api::detail {
 
-/// Thread-safe relaxed-FIFO job queue (multi-producer, multi-consumer).
+/// Thread-safe exact-FIFO job queue (multi-producer, multi-consumer).
 class JobQueue {
  public:
-  struct Config {
-    /// Ring segments; clamped to [1, 64] (the occupancy bitset width).
-    /// One shard per lane keeps the pop fast path contention-free.
-    std::size_t shards = 1;
-    /// Cells per shard ring, rounded up to a power of two.
-    std::size_t shard_capacity = 1024;
-  };
-
-  explicit JobQueue(Config config);
+  /// `ring_capacity`: priority-0 slots, allocated up front (at least 1).
+  explicit JobQueue(std::size_t ring_capacity);
 
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Non-blocking push.  Priority-0 jobs round-robin over the shard rings
-  /// (spilling to the next shard when the preferred ring is full); other
-  /// priorities take the ordered side list, which never fills.  False only
-  /// when every ring is full -- admission control (block/reject/shed)
-  /// lives in the caller.
+  /// Non-blocking push.  Priority-0 jobs take the ring; other priorities
+  /// take the ordered side list, which never fills.  False only when the
+  /// ring is full -- admission control (block/reject/shed) lives in the
+  /// caller.
   bool try_push(const std::shared_ptr<JobState>& state);
 
   /// Block until a job is available or the queue is closed.  Returns
-  /// nullptr once closed and drained of claimable work.  Pop order:
-  /// positive-priority side list, own shard, steal from occupied
-  /// neighbours, negative-priority side list.  `*shard_out` is the ring
-  /// the job came from (undefined for side-list jobs, which report
-  /// `*stolen == false`); `*stolen` is true when it was another lane's.
-  std::shared_ptr<JobState> pop(std::size_t lane, std::size_t* shard_out,
-                                bool* stolen);
+  /// nullptr once closed and empty.  Pop order: positive-priority side
+  /// list, ring, negative-priority side list.
+  std::shared_ptr<JobState> pop();
 
-  /// Non-blocking pop from `shard` only if its head entry carries exactly
-  /// `coalesce_key` (key 0 never matches).  This is the batching path: a
-  /// lane that popped a coalescable job gathers same-shape neighbours from
-  /// the same shard behind it.
-  std::shared_ptr<JobState> try_pop_matching(std::size_t shard,
-                                             std::uint64_t coalesce_key);
-
-  /// Side-list counterpart of try_pop_matching: pop the list front only
-  /// when it carries exactly `coalesce_key` AND exactly the same non-zero
-  /// `priority` -- jobs never coalesce across priority levels, and the
-  /// front-only claim preserves the (priority desc, id asc) pop order.
-  std::shared_ptr<JobState> try_pop_matching_priority(
-      std::uint64_t coalesce_key, int priority);
+  /// Non-blocking pop of the next job of exactly `priority` when it
+  /// carries exactly `coalesce_key` (key 0 never matches).  This is the
+  /// batching path: a lane that popped a coalescable job gathers
+  /// same-shape jobs queued right behind it.  Priority 0 looks at the ring
+  /// head; other levels at the side-list front, which must hold exactly
+  /// that priority -- jobs never coalesce across priority levels.
+  std::shared_ptr<JobState> try_pop_matching(std::uint64_t coalesce_key,
+                                             int priority);
 
   /// Non-blocking pop of the oldest lowest-priority queued job whose
   /// priority is <= `max_priority` (shed-oldest admission policy); nullptr
-  /// when nothing sheddable is queued.  Relaxed "oldest": the ring victim
-  /// is the smallest head id observed across shards, racing pops may get
-  /// a close neighbour instead.
+  /// when nothing sheddable is queued.
   std::shared_ptr<JobState> shed_victim(int max_priority);
 
-  /// Block until total occupancy drops below `below` or the queue closes
-  /// (block admission policy backoff).
+  /// Block until occupancy drops below `below` or the queue closes
+  /// (admission backoff).
   void wait_space(std::size_t below);
 
   /// Remove and return every queued entry (shutdown path).
   std::vector<std::shared_ptr<JobState>> drain();
 
-  /// Wake all waiters; subsequent pop() calls return nullptr.
+  /// Wake all waiters; pop() returns nullptr once the queue is empty.
   void close();
 
-  /// Total queued entries (rings + side list), including cancelled
-  /// entries not yet skipped by a lane.
-  std::size_t size() const {
-    return size_.load(std::memory_order_acquire);
-  }
-
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t shard_capacity() const { return shard_mask_ + 1; }
+  /// Total queued entries (ring + side list), including cancelled entries
+  /// not yet skipped by a lane.
+  std::size_t size() const;
 
  private:
-  /// One Vyukov MPMC ring cell.  `item` is handed between producer and
-  /// consumer through the acquire/release protocol on `seq`; `id` and
-  /// `key` are advisory atomic snapshots (written before the seq publish)
-  /// that shed_victim / try_pop_matching may peek without claiming.
-  struct Cell {
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> id{0};
-    std::atomic<std::uint64_t> key{0};
-    std::shared_ptr<JobState> item;
-  };
+  /// Callers hold mutex_.
+  std::shared_ptr<JobState> pop_ring_locked();
+  void push_side_locked(const std::shared_ptr<JobState>& state);
+  std::shared_ptr<JobState> pop_side_locked(bool back);
+  std::size_t size_locked() const { return ring_count_ + side_.size(); }
 
-  struct Shard {
-    explicit Shard(std::size_t capacity);
-    std::vector<Cell> cells;
-    alignas(64) std::atomic<std::uint64_t> head{0};
-    alignas(64) std::atomic<std::uint64_t> tail{0};
-    alignas(64) std::atomic<std::size_t> occupancy{0};
-  };
-
-  bool try_push_shard(Shard& shard, std::size_t index,
-                      const std::shared_ptr<JobState>& state);
-  /// Claim the head of `shard`; with `want_key`, only when the head's key
-  /// snapshot equals it.  nullptr when empty, contended, or mismatched.
-  std::shared_ptr<JobState> try_pop_shard(std::size_t index,
-                                          const std::uint64_t* want_key);
-  std::shared_ptr<JobState> pop_priority(bool positive_only);
-
-  void note_pushed(std::size_t shard_index);
-  void note_popped();
-
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::uint64_t shard_mask_ = 0;  ///< ring capacity - 1 (power of two)
-
-  /// Bit s set => shard s *may* be non-empty.  Maintained approximately:
-  /// set on push, cleared by a consumer observing the shard empty (and
-  /// re-set if a racing push landed meanwhile).
-  std::atomic<std::uint64_t> occupied_{0};
-  std::atomic<std::uint64_t> push_ticket_{0};  ///< round-robin shard pick
-  std::atomic<std::size_t> size_{0};           ///< rings + side list
-
-  /// Ordered side list for non-zero priorities (rare; the throughput path
-  /// never touches this mutex thanks to the count gates below).
-  mutable std::mutex prio_mutex_;
-  std::list<std::shared_ptr<JobState>> prio_items_;
-  std::atomic<std::size_t> prio_pos_{0};  ///< entries with priority > 0
-  std::atomic<std::size_t> prio_neg_{0};  ///< entries with priority < 0
-
-  std::atomic<bool> closed_{false};
-
-  /// Consumer sleep/wake fallback + producer space waits (block policy).
-  std::mutex sleep_mutex_;
-  std::condition_variable ready_cv_;
-  std::condition_variable space_cv_;
-  std::atomic<std::size_t> pop_waiters_{0};
-  std::atomic<std::size_t> space_waiters_{0};
+  mutable std::mutex mutex_;
+  std::condition_variable ready_cv_;  ///< lanes waiting for work
+  std::condition_variable space_cv_;  ///< producers waiting for room
+  std::vector<std::shared_ptr<JobState>> ring_;  ///< priority-0 FIFO
+  std::size_t ring_head_ = 0;
+  std::size_t ring_count_ = 0;
+  std::list<std::shared_ptr<JobState>> side_;  ///< (priority desc, id asc)
+  bool closed_ = false;
 };
 
 }  // namespace bismo::api::detail

@@ -37,31 +37,15 @@ JobService::JobService(Config config)
     : width_(std::max<std::size_t>(1, config.width)),
       lane_limit_(config.lanes > 0 ? config.lanes
                                    : std::max<std::size_t>(1, config.width)),
-      queue_capacity_(config.queue_capacity),
+      queue_capacity_(config.queue_capacity > 0 ? config.queue_capacity
+                                                : 1024 * lane_limit_),
       coalesce_limit_(std::max<std::size_t>(1, config.coalesce_limit)),
       execute_(std::move(config.execute)),
       emit_(std::move(config.emit)),
       dispatch_end_(std::move(config.dispatch_end)),
       gate_(std::make_shared<ServiceGate>()),
-      queue_([&] {
-        JobQueue::Config qc;
-        // Stealing is what drains a shard with no lane of its own, so a
-        // no-steal service collapses to the single exact-FIFO shard.
-        qc.shards = config.steal ? (config.queue_shards > 0
-                                        ? config.queue_shards
-                                        : lane_limit_)
-                                 : 1;
-        qc.shard_capacity = config.shard_capacity;
-        return qc;
-      }()),
-      pool_cache_cap_(config.pool_cache_cap),
-      queue_slo_ms_(config.queue_slo_ms) {
-  slo_samples_.reserve(kSloWindow);
-  slo_scratch_.reserve(kSloWindow);
-  if (queue_capacity_ == 0) {
-    queue_capacity_ = queue_.shard_count() * queue_.shard_capacity();
-  }
-  gate_->service = this;
+      queue_(queue_capacity_) {
+  gate_->service = this;  // not yet shared with any handle
 }
 
 JobService::~JobService() {
@@ -84,9 +68,8 @@ JobService::~JobService() {
   for (std::thread& lane : lanes_) lane.join();
   // Close the JobHandle::cancel gate last: a concurrent cancel either
   // entered before this and finishes against the still-live service
-  // (this statement blocks on the gate), or enters after and sees null.
-  std::lock_guard<std::recursive_mutex> lock(gate_->mutex);
-  gate_->service = nullptr;
+  // (close() waits for it), or enters after and sees null.
+  gate_->close();
 }
 
 JobHandle JobService::submit(JobSpec spec, SubmitOptions options) {
@@ -137,17 +120,7 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
     if (queue_.size() < queue_capacity_ && queue_.try_push(state)) {
       return true;
     }
-    // Queue-latency SLO: while the rolling p95 of queued_ms exceeds the
-    // target, parking the producer (kBlock) would only let the tail grow --
-    // shed the oldest queued job instead until the latency recovers.
-    QueuePolicy policy = state->options.queue_policy;
-    bool slo_override = false;
-    if (policy == QueuePolicy::kBlock && queue_slo_ms_ > 0.0 &&
-        queue_p95_ms() > queue_slo_ms_) {
-      policy = QueuePolicy::kShedOldest;
-      slo_override = true;
-    }
-    switch (policy) {
+    switch (state->options.queue_policy) {
       case QueuePolicy::kReject: {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         JobStatus expected = JobStatus::kQueued;
@@ -163,21 +136,25 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
         return false;
       }
       case QueuePolicy::kShedOldest: {
-        if (auto victim = queue_.shed_victim(state->options.priority)) {
-          JobStatus expected = JobStatus::kQueued;
-          if (victim->status.compare_exchange_strong(
-                  expected, JobStatus::kCancelled,
-                  std::memory_order_acq_rel)) {
-            shed_.fetch_add(1, std::memory_order_relaxed);
-            if (slo_override) slo_sheds_.fetch_add(1, std::memory_order_relaxed);
-            JobResult result = drained_result(*victim);
-            result.shed = true;
-            result.queued_ms = ms_between(victim->submitted_at, Clock::now());
-            result.queue_depth = victim->queue_depth_at_submit;
-            finalize(victim, std::move(result), JobStatus::kCancelled);
-          }
+        std::shared_ptr<JobState> victim =
+            queue_.shed_victim(state->options.priority);
+        if (victim == nullptr) {
+          // Nothing queued at or below the entrant's priority: wait for a
+          // lane to make room instead of spinning on the queue.
+          queue_.wait_space(queue_capacity_);
+          continue;
         }
-        continue;  // room was made (or racing pops already made some)
+        JobStatus expected = JobStatus::kQueued;
+        if (victim->status.compare_exchange_strong(
+                expected, JobStatus::kCancelled, std::memory_order_acq_rel)) {
+          shed_.fetch_add(1, std::memory_order_relaxed);
+          JobResult result = drained_result(*victim);
+          result.shed = true;
+          result.queued_ms = ms_between(victim->submitted_at, Clock::now());
+          result.queue_depth = victim->queue_depth_at_submit;
+          finalize(victim, std::move(result), JobStatus::kCancelled);
+        }
+        continue;  // the victim left the queue either way: room was made
       }
       case QueuePolicy::kBlock:
         queue_.wait_space(queue_capacity_);
@@ -188,19 +165,15 @@ bool JobService::admit(const std::shared_ptr<JobState>& state) {
 
 void JobService::spawn_lanes_locked() {
   while (lanes_.size() < lane_limit_ && lanes_.size() < active_.size()) {
-    const std::size_t lane = lanes_.size();
-    lanes_.emplace_back([this, lane] { lane_main(lane); });
+    lanes_.emplace_back([this] { lane_main(); });
   }
 }
 
-void JobService::lane_main(std::size_t lane) {
+void JobService::lane_main() {
   std::vector<std::shared_ptr<JobState>> batch;
   for (;;) {
-    std::size_t shard = 0;
-    bool stolen = false;
-    std::shared_ptr<JobState> head = queue_.pop(lane, &shard, &stolen);
+    std::shared_ptr<JobState> head = queue_.pop();
     if (head == nullptr) return;  // closed: shutting down
-    if (stolen) steals_.fetch_add(1, std::memory_order_relaxed);
 
     batch.clear();
     const std::uint64_t key = head->options.coalesce_key;
@@ -213,13 +186,8 @@ void JobService::lane_main(std::size_t lane) {
       const std::size_t budget =
           std::min(coalesce_limit_, 1 + queue_.size() / lane_limit_);
       while (batch.size() < budget) {
-        // Ring heads gather from their shard; side-list heads (non-zero
-        // priority, shard_out past the ring count) gather same-key jobs of
-        // exactly their own priority level -- never across levels.
         std::shared_ptr<JobState> more =
-            shard < queue_.shard_count()
-                ? queue_.try_pop_matching(shard, key)
-                : queue_.try_pop_matching_priority(key, priority);
+            queue_.try_pop_matching(key, priority);
         if (more == nullptr) break;
         batch.push_back(std::move(more));
       }
@@ -267,7 +235,6 @@ void JobService::run_dispatch(
     state->coalesced_dispatch = batch.size() > 1;
     const double queued_ms =
         ms_between(state->submitted_at, state->started_at);
-    record_queued_ms(queued_ms);
     if (i > 0) coalesced_.fetch_add(1, std::memory_order_relaxed);
     executing_.fetch_add(1, std::memory_order_relaxed);
 
@@ -291,25 +258,6 @@ void JobService::run_dispatch(
 
   if (pool != nullptr) release_pool(pool);
   running_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void JobService::record_queued_ms(double ms) {
-  std::lock_guard<std::mutex> lock(slo_mutex_);
-  if (slo_samples_.size() < kSloWindow) {
-    slo_samples_.push_back(ms);
-  } else {
-    slo_samples_[slo_pos_] = ms;
-    slo_pos_ = (slo_pos_ + 1) % kSloWindow;
-  }
-  // Recompute the p95 on every sample: the window is tiny (128 doubles)
-  // next to a job dispatch, and keeping the gauge exact makes the SLO
-  // switch-over deterministic in tests.
-  slo_scratch_ = slo_samples_;
-  const std::size_t nth = (slo_scratch_.size() - 1) * 95 / 100;
-  std::nth_element(slo_scratch_.begin(),
-                   slo_scratch_.begin() + static_cast<std::ptrdiff_t>(nth),
-                   slo_scratch_.end());
-  queue_p95_ms_.store(slo_scratch_[nth], std::memory_order_relaxed);
 }
 
 void JobService::cancel_job(const std::shared_ptr<JobState>& state) {
@@ -454,7 +402,7 @@ void JobService::release_pool(ThreadPool* pool) {
       }
       if (!entry.in_use && entry.pool.get() != nullptr) ++idle;
     }
-    while (idle > pool_cache_cap_) {
+    while (idle > kPoolCacheCap) {
       auto lru = pools_.end();
       for (auto it = pools_.begin(); it != pools_.end(); ++it) {
         if (it->in_use) continue;

@@ -1,37 +1,41 @@
 // JobService: the persistent, load-balanced lane scheduler behind
 // api::Session's asynchronous submission API.
 //
-// One service lives as long as its session.  Submitted jobs enter a
-// sharded, mostly-lock-free JobQueue (one ring per lane + an occupancy
-// bitset; see api/job_queue.hpp); long-lived lane threads (spawned lazily
-// up to a fixed limit) pop from their own shard first and steal from
-// loaded neighbours, executing jobs through a callback into the session.
-// Each dispatch picks its parallel width from the live load -- width =
-// session width / max(in-flight dispatches, lanes_hint) -- leasing a warm
-// ThreadPool of that width from an LRU pool cache, so an idle machine
-// re-absorbs into full-width single-job runs while a saturated one shards
-// into one-worker lanes, and no per-batch pool teardown ever happens.
-// Shared widths are quantized to powers of two so a fluctuating in-flight
-// count keeps hitting the same warm pools instead of minting new ones.
-// Width never changes results: engine reductions are partitioned over the
-// fixed slots of parallel/reduction.hpp (bitwise identical for any width).
+// One service lives as long as its session.  Submitted jobs enter one
+// mutex-guarded FIFO JobQueue (see api/job_queue.hpp); long-lived lane
+// threads (spawned lazily up to a fixed limit) pop from it and execute
+// jobs through a callback into the session.  Each dispatch picks its
+// parallel width from the live load -- width = session width /
+// max(in-flight dispatches, lanes_hint) -- leasing a warm ThreadPool of
+// that width from an LRU pool cache (kPoolCacheCap idle pools), so an idle
+// machine re-absorbs into full-width single-job runs while a saturated one
+// shards into one-worker lanes, and no per-batch pool teardown ever
+// happens.  Shared widths are quantized to powers of two so a fluctuating
+// in-flight count keeps hitting the same warm pools instead of minting new
+// ones.  Width never changes results: engine reductions are partitioned
+// over the fixed slots of parallel/reduction.hpp (bitwise identical for
+// any width).
+//
+// Events: every JobEvent is handed to Config::emit on the thread that
+// produces it -- submit, the executing lane, or the cancelling thread --
+// so a job's step events all reach the session before its result is
+// published.
 //
 // Coalescing: a popped job carrying a non-zero SubmitOptions::coalesce_key
-// gathers queued same-key neighbours from its shard into the one dispatch
-// (up to Config::coalesce_limit), amortizing pool/workspace leasing over
-// sub-millisecond jobs.  The batch budget scales with queue depth per
-// lane, so coalescing only engages once the lanes cannot drain the queue
-// one job at a time -- a shallow queue still fans out across lanes.
-// Non-zero-priority jobs coalesce too, but strictly within their own
-// level: a side-list head gathers same-key jobs of exactly its priority
-// from the list front, so jobs never coalesce across priority levels.
+// gathers same-key jobs queued right behind it at its own priority level
+// into the one dispatch (up to Config::coalesce_limit), amortizing
+// pool/workspace leasing over sub-millisecond jobs.  The batch budget
+// scales with queue depth per lane, so coalescing only engages once the
+// lanes cannot drain the queue one job at a time -- a shallow queue still
+// fans out across lanes.  Jobs never coalesce across priority levels.
 // Members keep their own JobEvent streams, results and cancel windows: a
 // lane claims each member with the same status CAS as a solo dispatch.
 //
 // Admission control: submit consults SubmitOptions::queue_policy when the
 // queue holds Config::queue_capacity entries -- block until room, reject
 // (kFailed, error set), or shed the oldest queued job at or below the
-// entrant's priority (kCancelled, JobResult::shed set).
+// entrant's priority (kCancelled, JobResult::shed set; with no eligible
+// victim the entrant waits for room like kBlock).
 //
 // Cancellation is per job: a queued job flips kQueued -> kCancelled with a
 // single CAS and finalizes immediately (the losing lane skips it); a
@@ -66,31 +70,17 @@ class JobService final : public JobRouter {
     std::size_t lanes = 0;
     /// The session's parallel width (shared out across in-flight jobs).
     std::size_t width = 1;
-    /// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
-    std::size_t pool_cache_cap = 4;
-    /// Dispatch-queue ring segments (0 = one per lane, the default).
-    /// Clamped to 1 when `steal` is off: an un-stolen shard with no lane
-    /// of its own would strand jobs.
-    std::size_t queue_shards = 0;
-    /// Cells per queue shard (rounded up to a power of two).
-    std::size_t shard_capacity = 1024;
     /// Queued jobs past which SubmitOptions::queue_policy kicks in
-    /// (0 = shards * shard_capacity, effectively unbounded).
+    /// (0 = 1024 per lane, effectively unbounded).
     std::size_t queue_capacity = 0;
     /// Maximum same-key jobs batched into one lane dispatch (1 = off).
     std::size_t coalesce_limit = 8;
-    /// Queue-latency SLO target in milliseconds (0 = off).  While the p95
-    /// of recent queued_ms samples exceeds it, kBlock admissions behave as
-    /// kShedOldest: the producer is never parked, the oldest queued job is
-    /// cancelled instead, until the tail latency recovers.
-    double queue_slo_ms = 0.0;
-    /// Let an idle lane drain a loaded neighbour's queue shard.
-    bool steal = true;
     /// Runs one job (never throws; failures land in JobResult::error).
     /// `pool` is the leased execution pool -- nullptr means width 1, run
     /// the engines serially on the lane thread.
     std::function<JobResult(JobState&, ThreadPool*)> execute;
-    /// Serialized event sink (the session fans out to its observers).
+    /// Event sink, called on the emitting thread (the session serializes
+    /// its observers).
     std::function<void(const JobEvent&, const JobState&)> emit;
     /// Invoked on the lane thread after every dispatch (solo or
     /// coalesced); the session flushes its sticky workspace lease here.
@@ -151,10 +141,6 @@ class JobService final : public JobRouter {
   std::size_t jobs_executing() const noexcept {
     return executing_.load(std::memory_order_relaxed);
   }
-  /// Jobs an idle lane stole from another lane's queue shard.
-  std::size_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
   /// Jobs that rode a coalesced dispatch behind its head job.
   std::size_t coalesced_jobs() const noexcept {
     return coalesced_.load(std::memory_order_relaxed);
@@ -167,18 +153,11 @@ class JobService final : public JobRouter {
   std::size_t jobs_rejected() const noexcept {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Rolling p95 of job queue latency (ms) over the last kSloWindow
-  /// dispatched jobs; 0 until the first dispatch.
-  double queue_p95_ms() const noexcept {
-    return queue_p95_ms_.load(std::memory_order_relaxed);
-  }
-  /// Jobs shed because the queue-latency SLO auto-switched a kBlock
-  /// admission to shed-oldest.
-  std::size_t slo_sheds() const noexcept {
-    return slo_sheds_.load(std::memory_order_relaxed);
-  }
 
  private:
+  /// Idle leased ThreadPools kept warm past which LRU eviction kicks in.
+  static constexpr std::size_t kPoolCacheCap = 4;
+
   struct PoolEntry {
     std::unique_ptr<ThreadPool> pool;
     std::size_t width = 0;
@@ -186,7 +165,7 @@ class JobService final : public JobRouter {
     std::uint64_t last_used = 0;
   };
 
-  void lane_main(std::size_t lane);
+  void lane_main();
 
   /// Spawn lanes up to min(lane_limit, outstanding jobs).  Registry lock
   /// held by the caller.
@@ -208,10 +187,6 @@ class JobService final : public JobRouter {
 
   /// Build the terminal result of a job that never executed.
   static JobResult drained_result(const JobState& state);
-
-  /// Fold one queue-latency sample into the rolling window and refresh the
-  /// p95 gauge.
-  void record_queued_ms(double ms);
 
   /// Store the result, flip to `status`, wake waiters, retire the job
   /// from the registry (re-arming the session token when it was the last
@@ -245,27 +220,14 @@ class JobService final : public JobRouter {
   std::mutex pool_mutex_;
   std::vector<PoolEntry> pools_;
   std::uint64_t pool_tick_ = 0;
-  std::size_t pool_cache_cap_;
 
   std::atomic<std::size_t> submitted_{0};
   std::atomic<std::size_t> cancelled_{0};
   std::atomic<std::size_t> pool_reuses_{0};
-  std::atomic<std::size_t> steals_{0};
   std::atomic<std::size_t> coalesced_{0};
   std::atomic<std::size_t> shed_{0};
   std::atomic<std::size_t> rejected_{0};
 
-  /// Queue-latency SLO state: a fixed ring of recent queued_ms samples
-  /// guarded by its own mutex (touched once per dispatched job), published
-  /// as an atomic p95 gauge that admissions read lock-free.
-  static constexpr std::size_t kSloWindow = 128;
-  double queue_slo_ms_;
-  std::mutex slo_mutex_;
-  std::vector<double> slo_samples_;  ///< ring, capped at kSloWindow
-  std::vector<double> slo_scratch_;  ///< nth_element scratch
-  std::size_t slo_pos_ = 0;
-  std::atomic<double> queue_p95_ms_{0.0};
-  std::atomic<std::size_t> slo_sheds_{0};
 };
 
 }  // namespace bismo::api::detail

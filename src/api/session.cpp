@@ -96,19 +96,13 @@ Session::Session(Options options)
                  ? options.threads
                  : std::max<std::size_t>(
                        1, std::thread::hardware_concurrency())),
-      observer_(std::move(options.on_progress)),
       event_observer_(std::move(options.on_event)),
-      batch_events_(options.batch_events),
       workspace_cache_cap_(options.workspace_cache_cap) {
   detail::JobService::Config config;
   config.lanes = options.scheduler_lanes;
   config.width = width_;
-  config.pool_cache_cap = options.pool_cache_cap;
-  config.queue_shards = options.queue_shards;
   config.queue_capacity = options.queue_capacity;
   config.coalesce_limit = options.coalesce_limit;
-  config.queue_slo_ms = options.queue_slo_ms;
-  config.steal = options.work_stealing;
   config.execute = [this](detail::JobState& state, ThreadPool* pool) {
     return execute_job(state, pool);
   };
@@ -136,12 +130,9 @@ Session::Stats Session::stats() const noexcept {
   s.lane_pool_reuses = service_->pool_reuses();
   s.queue_depth = service_->queue_depth();
   s.jobs_executing = service_->jobs_executing();
-  s.steals = service_->steals();
   s.coalesced_jobs = service_->coalesced_jobs();
   s.jobs_shed = service_->jobs_shed();
   s.jobs_rejected = service_->jobs_rejected();
-  s.queue_p95_ms = service_->queue_p95_ms();
-  s.slo_sheds = service_->slo_sheds();
   return s;
 }
 
@@ -224,63 +215,16 @@ void Session::flush_sticky_lease() {
   slot.lease = WorkspaceLease{};
 }
 
-void Session::deliver_event(const PendingEvent& pending) {
-  const JobEvent& event = pending.event;
-  if (observer_ && event.kind == JobEvent::Kind::kStep) {
-    // Legacy per-step adapter: Progress is a projection of the step event.
-    Progress progress;
-    progress.job_index = event.batch_index;
-    progress.job_count = event.batch_count;
-    progress.job_name = event.job_name;
-    progress.method = event.method;
-    progress.step = event.step;
-    progress.planned_steps = event.planned_steps;
-    observer_(progress);
-  }
-  if (event_observer_) event_observer_(event);
-  if (pending.per_job) pending.per_job(event);
-}
-
 void Session::emit_event(const JobEvent& event,
                          const detail::JobState& state) {
   // Fast path for unobserved jobs: the sub-millisecond serving regime
   // must not serialize every event on the observer mutex.
-  if (observer_ == nullptr && event_observer_ == nullptr &&
-      state.options.on_event == nullptr) {
+  if (event_observer_ == nullptr && state.options.on_event == nullptr) {
     return;
   }
-  if (!batch_events_) {
-    std::lock_guard<std::recursive_mutex> lock(observer_mutex_);
-    deliver_event(PendingEvent{event, state.options.on_event});
-    return;
-  }
-  // Batched path: append under the buffer lock, then elect at most one
-  // drainer, which fans queued batches out OUTSIDE the lock until the
-  // buffer runs dry.  Lanes behind a slow observer enqueue and move on
-  // instead of convoying on the emission mutex; global FIFO order and the
-  // one-observer-call-at-a-time contract are both preserved (single
-  // drainer).  Re-entrant emissions (an observer cancels a job, whose
-  // finished event emits on the observing thread) simply append and are
-  // picked up by the already-running drain loop -- no recursion.
-  {
-    std::lock_guard<std::mutex> lock(event_mutex_);
-    event_queue_.push_back(PendingEvent{event, state.options.on_event});
-    if (event_draining_) return;
-    event_draining_ = true;
-  }
-  std::vector<PendingEvent> batch;
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(event_mutex_);
-      if (event_queue_.empty()) {
-        event_draining_ = false;
-        return;
-      }
-      batch.clear();
-      batch.swap(event_queue_);
-    }
-    for (const PendingEvent& pending : batch) deliver_event(pending);
-  }
+  std::lock_guard<std::recursive_mutex> lock(observer_mutex_);
+  if (event_observer_) event_observer_(event);
+  if (state.options.on_event) state.options.on_event(event);
 }
 
 std::shared_ptr<SmoProblem> Session::make_problem(const JobSpec& spec) {
@@ -369,10 +313,7 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
     result.setup_seconds = elapsed_seconds(start);
 
     const int planned = planned_steps(spec.method, config);
-    const bool observed = observer_ != nullptr ||
-                          event_observer_ != nullptr ||
-                          state.options.on_event != nullptr;
-    if (observed) {
+    if (event_observer_ != nullptr || state.options.on_event != nullptr) {
       control.on_step = [this, &state, planned](const StepRecord& record) {
         JobEvent event;
         event.kind = JobEvent::Kind::kStep;

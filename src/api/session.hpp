@@ -15,17 +15,16 @@
 //
 // Observation: every job emits a JobEvent stream (enqueued -> started ->
 // step* -> finished) to the session-wide `Options::on_event` observer and
-// the per-job `SubmitOptions::on_event` observer.  The legacy per-step
-// ProgressObserver is an adapter over the same feed and remains supported.
-// All observer invocations are serialized by the session; by default
-// delivery is batched -- lanes append events to a buffer and one drainer
-// fans them out outside the emission lock (Options::batch_events).
+// the per-job `SubmitOptions::on_event` observer.  Each event is delivered
+// inline, on the thread that emits it (usually the job's lane), and all
+// observer invocations are serialized by the session.  A job's step events
+// therefore all reach the observers before its result becomes visible to
+// JobHandle::wait.
 //
 // Cancellation is per job and composable: `JobHandle::cancel()` stops one
 // job without touching its siblings; `Session::request_cancel()` drains
 // exactly the work in flight at the request and then re-arms
-// automatically, so new submissions run normally (no sticky poison; the
-// old `reset_cancel()` is a deprecated no-op).
+// automatically, so new submissions run normally.
 //
 // Failure containment: job-level problems (bad layout file, invalid
 // configuration, ...) never throw out of submit/run paths; the error is
@@ -36,7 +35,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -57,22 +55,6 @@ namespace detail {
 class JobService;
 }
 
-/// One progress event: a freshly completed optimizer step of one job.
-/// Legacy adapter over the JobEvent feed (see JobEvent::Kind::kStep).
-struct Progress {
-  std::size_t job_index = 0;  ///< position in the batch (0 for single runs)
-  std::size_t job_count = 1;  ///< batch size (1 for single runs)
-  std::string job_name;       ///< JobSpec::display_name()
-  std::string method;         ///< method being run
-  StepRecord step;            ///< the step just recorded
-  int planned_steps = 0;      ///< expected trace length for this job
-};
-
-/// Invoked after every recorded step of any job; keep cheap.  Calls are
-/// serialized by the session (jobs progress on scheduler lanes), and it is
-/// safe to call Session::request_cancel() from the observer.
-using ProgressObserver = std::function<void(const Progress&)>;
-
 /// Execution context shared by a sequence of jobs.  Implements the
 /// JobSubmitter serving contract (net::Dispatcher is the multi-process
 /// implementation of the same interface).
@@ -84,42 +66,18 @@ class Session : public JobSubmitter {
     /// (0 = parallel width).  Lanes are persistent: spawned lazily on
     /// demand and kept for the session's lifetime.
     std::size_t scheduler_lanes = 0;
-    ProgressObserver on_progress;  ///< legacy per-step observer
     JobEventObserver on_event;     ///< session-wide job event feed
     /// Maximum idle warm WorkspaceSets kept for reuse.  Leases checked out
     /// by running jobs never count against the cap; returning a set past
     /// it evicts the least-recently-used idle set.
     std::size_t workspace_cache_cap = 4;
-    /// Maximum idle warm lane ThreadPools kept for reuse (LRU-evicted).
-    std::size_t pool_cache_cap = 4;
-    /// Dispatch-queue ring shards (0 = one per scheduler lane).  More
-    /// shards cut producer contention; stealing keeps them all drained.
-    std::size_t queue_shards = 0;
     /// Queued jobs past which SubmitOptions::queue_policy applies
-    /// (0 = shards * 1024, effectively unbounded for the default block
-    /// policy).  Size this to bound queue latency under overload.
+    /// (0 = 1024 per scheduler lane, effectively unbounded for the default
+    /// block policy).  Size this to bound queue latency under overload.
     std::size_t queue_capacity = 0;
     /// Maximum same-key sub-millisecond jobs coalesced into one lane
     /// dispatch (1 disables; see SubmitOptions::coalesce_key).
     std::size_t coalesce_limit = 8;
-    /// Queue-latency SLO target in milliseconds (0 = off).  While the
-    /// rolling p95 of job queue latency (Stats::queue_p95_ms) exceeds the
-    /// target, full-queue admissions with the kBlock policy auto-switch to
-    /// shed-oldest: the submitter is never parked and the oldest queued
-    /// job is cancelled (JobResult::shed) instead, until the tail latency
-    /// recovers.  Jobs submitted with kReject/kShedOldest are unaffected.
-    double queue_slo_ms = 0.0;
-    /// Idle lanes steal queued jobs from loaded neighbours' shards.
-    /// Turning this off forces a single exact-FIFO queue shard.
-    bool work_stealing = true;
-    /// Batched observer delivery: producers append events to a session
-    /// buffer under a cheap lock and one drainer at a time fans batches
-    /// out to the observers OUTSIDE that lock, so lanes never stall
-    /// behind a slow observer while holding the emission mutex.  Global
-    /// FIFO order and serialized observer invocation are preserved.
-    /// false = legacy path serializing every emission on one recursive
-    /// mutex (kept for A/B measurement; see bench_serve).
-    bool batch_events = true;
   };
 
   /// Per-batch execution options for the synchronous `run_batch` wrapper.
@@ -142,12 +100,14 @@ class Session : public JobSubmitter {
     std::size_t lane_pool_reuses = 0;     ///< dispatches on a warm pool
     std::size_t queue_depth = 0;          ///< live: jobs waiting right now
     std::size_t jobs_executing = 0;       ///< live: jobs on lanes right now
-    std::size_t steals = 0;               ///< jobs drained from a neighbour
+    /// Always 0: the single FIFO dispatch queue has nothing to steal
+    /// from.  Kept because perfbench/src/common.cpp reads it (its
+    /// api.steal_ratio metric), and the benchmark's sources stay fixed so
+    /// that runs of different commits remain comparable.
+    std::size_t steals = 0;
     std::size_t coalesced_jobs = 0;       ///< jobs riding a shared dispatch
     std::size_t jobs_shed = 0;            ///< cancelled by shed-oldest
     std::size_t jobs_rejected = 0;        ///< refused by reject policy
-    double queue_p95_ms = 0.0;            ///< live: rolling p95 queue latency
-    std::size_t slo_sheds = 0;            ///< sheds forced by queue_slo_ms
   };
 
   Session() : Session(Options{}) {}
@@ -187,9 +147,6 @@ class Session : public JobSubmitter {
 
   /// True while a request_cancel drain is still in flight.
   bool cancel_requested() const noexcept;
-
-  /// Deprecated no-op: cancellation auto-rearms (it is no longer sticky).
-  void reset_cancel() noexcept {}
 
   Stats stats() const noexcept;
 
@@ -244,25 +201,12 @@ class Session : public JobSubmitter {
     std::uint64_t last_used = 0;  ///< LRU tick
   };
 
-  /// One buffered observer delivery: the event plus a copy of the job's
-  /// per-job observer (the JobState may be finalized and released by the
-  /// time a drainer gets to it).
-  struct PendingEvent {
-    JobEvent event;
-    JobEventObserver per_job;
-  };
-
   /// Scheduler-lane job execution (detail::JobService::Config::execute).
   JobResult execute_job(detail::JobState& state, ThreadPool* pool);
 
-  /// Fan one event out to the session-wide and per-job observers
-  /// (detail::JobService::Config::emit).  Batched mode appends to
-  /// event_queue_ and elects at most one drainer; legacy mode delivers
-  /// inline under observer_mutex_.
+  /// Deliver one event to the session-wide and per-job observers, inline
+  /// under observer_mutex_ (detail::JobService::Config::emit).
   void emit_event(const JobEvent& event, const detail::JobState& state);
-
-  /// Deliver one buffered event to the observers (drainer-serialized).
-  void deliver_event(const PendingEvent& pending);
 
   /// Check a warm set for `mask_dim` out of the cache (or create a cold
   /// one).  Thread-safe.
@@ -289,19 +233,12 @@ class Session : public JobSubmitter {
   std::size_t width_;
   std::once_flag pool_once_;
   std::optional<ThreadPool> pool_storage_;
-  ProgressObserver observer_;
   JobEventObserver event_observer_;
-  bool batch_events_;
-  /// Legacy-path mutex serializing observer invocations across lanes.
-  /// Recursive because an observer may cancel jobs (request_cancel /
-  /// JobHandle::cancel), which finalizes queued jobs and emits their
-  /// finished events re-entrantly on the observing thread.
+  /// Serializes observer invocations across lanes.  Recursive because an
+  /// observer may cancel jobs (request_cancel / JobHandle::cancel), which
+  /// finalizes queued jobs and emits their finished events re-entrantly on
+  /// the observing thread.
   std::recursive_mutex observer_mutex_;
-  /// Batched-path emission buffer: guards event_queue_/event_draining_
-  /// only -- never held across an observer call.
-  std::mutex event_mutex_;
-  std::vector<PendingEvent> event_queue_;
-  bool event_draining_ = false;
 
   std::mutex cache_mutex_;
   std::vector<CacheEntry> idle_workspaces_;

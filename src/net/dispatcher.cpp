@@ -99,10 +99,7 @@ Dispatcher::Dispatcher(DispatcherOptions options)
         "net: dispatcher needs at least one worker endpoint");
   }
   if (options_.window == 0) options_.window = 1;
-  {
-    std::lock_guard<std::recursive_mutex> lock(gate_->mutex);
-    gate_->service = this;
-  }
+  gate_->service = this;  // not yet shared with any handle
   links_.reserve(options_.workers.size());
   for (std::size_t i = 0; i < options_.workers.size(); ++i) {
     auto link = std::make_shared<WorkerLink>();
@@ -138,8 +135,7 @@ Dispatcher::~Dispatcher() {
                  JobStatus::kCancelled);
   }
   // Close the JobHandle::cancel gate last, with every job finalized.
-  std::lock_guard<std::recursive_mutex> lock(gate_->mutex);
-  gate_->service = nullptr;
+  gate_->close();
 }
 
 api::JobHandle Dispatcher::submit(api::JobSpec spec,

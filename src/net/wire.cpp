@@ -448,12 +448,9 @@ void encode_stats(WireWriter& w, const api::Session::Stats& stats) {
   w.u64(stats.lane_pool_reuses);
   w.u64(stats.queue_depth);
   w.u64(stats.jobs_executing);
-  w.u64(stats.steals);
   w.u64(stats.coalesced_jobs);
   w.u64(stats.jobs_shed);
   w.u64(stats.jobs_rejected);
-  w.f64(stats.queue_p95_ms);
-  w.u64(stats.slo_sheds);
 }
 
 api::Session::Stats decode_stats(WireReader& r) {
@@ -466,12 +463,9 @@ api::Session::Stats decode_stats(WireReader& r) {
   stats.lane_pool_reuses = static_cast<std::size_t>(r.u64());
   stats.queue_depth = static_cast<std::size_t>(r.u64());
   stats.jobs_executing = static_cast<std::size_t>(r.u64());
-  stats.steals = static_cast<std::size_t>(r.u64());
   stats.coalesced_jobs = static_cast<std::size_t>(r.u64());
   stats.jobs_shed = static_cast<std::size_t>(r.u64());
   stats.jobs_rejected = static_cast<std::size_t>(r.u64());
-  stats.queue_p95_ms = r.f64();
-  stats.slo_sheds = static_cast<std::size_t>(r.u64());
   return stats;
 }
 

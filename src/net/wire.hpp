@@ -35,8 +35,10 @@ namespace bismo::net {
 
 /// Version of the frame + payload encoding.  Bump on any wire change.
 /// v2: JobResult::fusion + HelloMsg::fusion + Session::Stats queue-SLO
-/// gauges (queue_p95_ms, slo_sheds).
-constexpr std::uint16_t kProtocolVersion = 2;
+/// gauges.
+/// v3: Session::Stats drops steals and the queue-SLO gauges (the session
+/// has one FIFO dispatch queue and no latency SLO).
+constexpr std::uint16_t kProtocolVersion = 3;
 
 /// Thrown by readers on truncated, corrupt, or out-of-range wire data.
 class WireError : public std::runtime_error {

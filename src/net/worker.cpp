@@ -261,9 +261,12 @@ void Worker::reporter_main(const std::shared_ptr<Connection>& conn) {
     ResultMsg msg;
     msg.job_id = id;
     msg.result = handle.wait();  // already terminal: returns immediately
-    if (try_send(conn->write_mutex, conn->socket, MsgType::kResult,
-                 [&](WireWriter& w) { encode_result_msg(w, msg); })) {
-      jobs_served_.fetch_add(1, std::memory_order_relaxed);
+    // Count before the bytes leave: a client holding the result must also
+    // see it counted.  A failed send takes the count back.
+    jobs_served_.fetch_add(1, std::memory_order_relaxed);
+    if (!try_send(conn->write_mutex, conn->socket, MsgType::kResult,
+                  [&](WireWriter& w) { encode_result_msg(w, msg); })) {
+      jobs_served_.fetch_sub(1, std::memory_order_relaxed);
     }
     lock.lock();
   }

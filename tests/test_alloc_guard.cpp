@@ -92,24 +92,19 @@ TEST(AllocGuardBasics, GlobalScopeSeesOtherThreads) {
 
 TEST(AllocGuardJobQueue, PushPopFastPathIsAllocationFree) {
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  api::detail::JobQueue::Config config;
-  config.shards = 2;
-  config.shard_capacity = 64;
-  api::detail::JobQueue queue(config);
+  api::detail::JobQueue queue(64);
   auto state = std::make_shared<api::detail::JobState>();
   state->id = 1;
 
   // Warm-up: first traversal of every code path (condvar bookkeeping,
   // lazy TLS) happens outside the guarded region.
-  std::size_t shard = 0;
-  bool stolen = false;
   ASSERT_TRUE(queue.try_push(state));
-  ASSERT_NE(queue.pop(0, &shard, &stolen), nullptr);
+  ASSERT_NE(queue.pop(), nullptr);
 
   AllocGuard guard;
   for (int i = 0; i < 256; ++i) {
     ASSERT_TRUE(queue.try_push(state));
-    ASSERT_NE(queue.pop(0, &shard, &stolen), nullptr);
+    ASSERT_NE(queue.pop(), nullptr);
   }
   EXPECT_EQ(guard.allocations(), 0u);
 }

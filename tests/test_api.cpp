@@ -3,7 +3,11 @@
 // structured JSON/CSV result serialization.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "api/api.hpp"
 #include "io/json.hpp"
@@ -162,10 +166,11 @@ TEST(SessionBatch, ConcurrentLanesMatchSequentialBitwise) {
 }
 
 TEST(SessionBatch, ConcurrentProgressEventsAreSerializedAndComplete) {
-  std::vector<api::Progress> events;
+  std::vector<api::JobEvent> events;
   api::Session::Options options;
-  options.on_progress = [&events](const api::Progress& p) {
-    events.push_back(p);  // safe: the session serializes observer calls
+  options.on_event = [&events](const api::JobEvent& e) {
+    // safe: the session serializes observer calls
+    if (e.kind == api::JobEvent::Kind::kStep) events.push_back(e);
   };
   api::Session session(options);
   std::vector<api::JobSpec> specs(3, tiny_spec(Method::kAbbeMo));
@@ -177,7 +182,39 @@ TEST(SessionBatch, ConcurrentProgressEventsAreSerializedAndComplete) {
     steps += r.run.trace.size();
   }
   EXPECT_EQ(events.size(), steps);
-  for (const api::Progress& p : events) EXPECT_EQ(p.job_count, 3u);
+  for (const api::JobEvent& e : events) EXPECT_EQ(e.batch_count, 3u);
+}
+
+// Regression: step events are delivered inline on the emitting lane, so
+// every kStep of a job has reached the session-wide observer by the time
+// its JobHandle::wait() returns -- even with several jobs stepping
+// concurrently and a slow observer.  Repeated because a deferred delivery
+// path loses this race only now and then.
+TEST(SessionBatch, EveryStepIsObservedBeforeWaitReturns) {
+  std::mutex mutex;
+  std::map<std::uint64_t, std::size_t> steps_seen;
+  api::Session::Options options;
+  options.threads = 4;
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep) return;
+    // A slow observer widens the window a deferred delivery would leave.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::lock_guard<std::mutex> lock(mutex);
+    ++steps_seen[e.job_id];
+  };
+  api::Session session(options);
+  const api::JobSpec spec = tiny_spec(Method::kAbbeMo);
+  for (int round = 0; round < 25; ++round) {
+    std::vector<api::JobHandle> handles;
+    for (int j = 0; j < 4; ++j) handles.push_back(session.submit(spec));
+    for (const api::JobHandle& handle : handles) {
+      const api::JobResult& result = handle.wait();
+      ASSERT_TRUE(result.ok()) << result.error;
+      std::lock_guard<std::mutex> lock(mutex);
+      ASSERT_EQ(steps_seen[handle.id()], result.run.trace.size())
+          << "round " << round << ", job " << handle.id();
+    }
+  }
 }
 
 TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
@@ -218,10 +255,10 @@ TEST(SessionWorkspaces, CacheEvictsLeastRecentlyUsedPastCap) {
 }
 
 TEST(SessionProgress, ObserverSeesEveryStepWithJobContext) {
-  std::vector<api::Progress> events;
+  std::vector<api::JobEvent> events;
   api::Session::Options options;
-  options.on_progress = [&events](const api::Progress& p) {
-    events.push_back(p);
+  options.on_event = [&events](const api::JobEvent& e) {
+    if (e.kind == api::JobEvent::Kind::kStep) events.push_back(e);
   };
   api::Session session(options);
   const api::JobResult result = session.run(tiny_spec(Method::kAbbeMo));
@@ -230,7 +267,7 @@ TEST(SessionProgress, ObserverSeesEveryStepWithJobContext) {
   for (std::size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].step.step, static_cast<int>(i));
     EXPECT_DOUBLE_EQ(events[i].step.loss, result.run.trace[i].loss);
-    EXPECT_EQ(events[i].job_count, 1u);
+    EXPECT_EQ(events[i].batch_count, 1u);
     EXPECT_EQ(events[i].planned_steps, 4);
     EXPECT_EQ(events[i].method, "Abbe-MO");
   }
@@ -241,9 +278,10 @@ TEST(SessionCancel, ObserverCanCancelMidRun) {
   api::Session* session_ptr = nullptr;
   int seen = 0;
   bool armed = true;
-  options.on_progress = [&](const api::Progress& p) {
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep) return;
     ++seen;
-    if (armed && p.step.step >= 1) session_ptr->request_cancel();
+    if (armed && e.step.step >= 1) session_ptr->request_cancel();
   };
   api::Session session(options);
   session_ptr = &session;
@@ -267,16 +305,17 @@ TEST(SessionCancel, ObserverCanCancelMidRun) {
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_FALSE(next.cancelled());
   EXPECT_FALSE(next.run.trace.empty());
-  // The deprecated re-arm shim is a harmless no-op.
-  session.reset_cancel();
   EXPECT_FALSE(session.cancel_requested());
 }
 
 TEST(SessionCancel, BatchDrainsRemainingJobsAsCancelled) {
   api::Session::Options options;
   api::Session* session_ptr = nullptr;
-  options.on_progress = [&](const api::Progress& p) {
-    if (p.job_index == 0 && p.step.step >= 1) session_ptr->request_cancel();
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind == api::JobEvent::Kind::kStep && e.batch_index == 0 &&
+        e.step.step >= 1) {
+      session_ptr->request_cancel();
+    }
   };
   api::Session session(options);
   session_ptr = &session;

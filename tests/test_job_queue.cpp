@@ -1,10 +1,10 @@
-// Sharded MPMC dispatch-queue tests: single-shard FIFO and priority
-// ordering, multi-producer/multi-consumer stress (exactly-once delivery),
-// steal-path coverage, coalesce-key matched pops, shed-victim selection,
-// capacity behavior, and close/drain semantics.  Suite names start with
-// "JobQueue" so the TSan CI leg (-R '^(Service|Session|Job|TileScheduler)')
-// runs them; BISMO_QUEUE_STRESS_ITERS scales the stress case up for the
-// dedicated TSan stress invocation.
+// Dispatch-queue tests: exact FIFO and priority ordering,
+// multi-producer/multi-consumer stress (exactly-once delivery), coalesce-key
+// matched pops, shed-victim selection, capacity behavior, and close/drain
+// semantics.  Suite names start with "JobQueue" so the TSan CI leg
+// (-R '^(Service|Session|Job|TileScheduler|Net)') runs them;
+// BISMO_QUEUE_STRESS_ITERS scales the stress case up for the dedicated TSan
+// stress invocation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -41,215 +40,143 @@ std::size_t stress_items_per_producer() {
   return 2000;
 }
 
-JobQueue::Config one_shard(std::size_t capacity = 1024) {
-  JobQueue::Config config;
-  config.shards = 1;
-  config.shard_capacity = capacity;
-  return config;
-}
-
 TEST(JobQueueOrder, SingleShardIsExactFifo) {
-  JobQueue queue(one_shard());
+  JobQueue queue(1024);
   for (std::uint64_t id = 1; id <= 100; ++id) {
     ASSERT_TRUE(queue.try_push(make_job(id)));
   }
   EXPECT_EQ(queue.size(), 100u);
-  std::size_t shard = 0;
-  bool stolen = false;
   for (std::uint64_t id = 1; id <= 100; ++id) {
-    const auto state = queue.pop(0, &shard, &stolen);
+    const auto state = queue.pop();
     ASSERT_NE(state, nullptr);
     EXPECT_EQ(state->id, id);
-    EXPECT_FALSE(stolen);
   }
   EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(JobQueueOrder, PriorityBeatsFifoAndNegativeYields) {
-  JobQueue queue(one_shard());
+  JobQueue queue(1024);
   ASSERT_TRUE(queue.try_push(make_job(1, 0)));
   ASSERT_TRUE(queue.try_push(make_job(2, -3)));
   ASSERT_TRUE(queue.try_push(make_job(3, 0)));
   ASSERT_TRUE(queue.try_push(make_job(4, 5)));
-  std::size_t shard = 0;
-  bool stolen = false;
   // priority 5 first, FIFO priority-0 next, below-normal last.
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 4u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 1u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 3u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 2u);
+  EXPECT_EQ(queue.pop()->id, 4u);
+  EXPECT_EQ(queue.pop()->id, 1u);
+  EXPECT_EQ(queue.pop()->id, 3u);
+  EXPECT_EQ(queue.pop()->id, 2u);
 }
 
-TEST(JobQueueSteal, OneConsumerDrainsEveryShard) {
-  JobQueue::Config config;
-  config.shards = 4;
-  config.shard_capacity = 64;
-  JobQueue queue(config);
-  ASSERT_EQ(queue.shard_count(), 4u);
-  for (std::uint64_t id = 1; id <= 40; ++id) {
-    ASSERT_TRUE(queue.try_push(make_job(id)));  // round-robins the shards
+// 4 producers x 4 consumers on one queue: every job is delivered exactly
+// once, and each producer's priority-0 jobs reach every consumer in
+// submission order.  `priority_of(i)` picks the priority of a producer's
+// i-th job.
+template <typename PriorityOf>
+void stress_exactly_once(std::size_t ring_capacity, PriorityOf priority_of) {
+  const std::size_t kProducers = 4;
+  const std::size_t kConsumers = 4;
+  const std::size_t per_producer = stress_items_per_producer();
+  const std::size_t total = kProducers * per_producer;
+
+  JobQueue queue(ring_capacity);
+
+  std::atomic<std::size_t> popped{0};
+  std::vector<std::vector<std::uint64_t>> received(kConsumers);
+  std::vector<std::thread> consumers;
+  for (std::size_t c = 0; c < kConsumers; ++c) {
+    consumers.emplace_back([&, c] {
+      for (;;) {
+        const auto state = queue.pop();
+        if (state == nullptr) return;  // closed
+        received[c].push_back(state->id);
+        popped.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
   }
-  std::set<std::uint64_t> seen;
-  std::size_t stolen_count = 0;
-  std::size_t shard = 0;
-  bool stolen = false;
-  for (int i = 0; i < 40; ++i) {
-    const auto state = queue.pop(/*lane=*/0, &shard, &stolen);
-    ASSERT_NE(state, nullptr);
-    seen.insert(state->id);
-    if (stolen) ++stolen_count;
+
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (std::size_t i = 0; i < per_producer; ++i) {
+        const auto job = make_job(1 + p * per_producer + i, priority_of(i));
+        while (!queue.try_push(job)) {
+          std::this_thread::yield();  // ring momentarily full
+        }
+      }
+    });
   }
-  EXPECT_EQ(seen.size(), 40u);      // every job, exactly once
-  EXPECT_GE(stolen_count, 30u);     // 3 of 4 shards are not lane 0's own
+  for (auto& t : producers) t.join();
+  while (popped.load(std::memory_order_acquire) < total) {
+    std::this_thread::yield();
+  }
+  queue.close();
+  for (auto& t : consumers) t.join();
+
+  // Exact FIFO within a priority level: every consumer sees each
+  // producer's priority-0 jobs in submission order.
+  for (const auto& ids : received) {
+    std::vector<std::uint64_t> last(kProducers, 0);
+    for (const std::uint64_t id : ids) {
+      const std::size_t p = (id - 1) / per_producer;
+      if (priority_of((id - 1) % per_producer) != 0) continue;
+      EXPECT_GT(id, last[p]) << "priority-0 jobs popped out of order";
+      last[p] = id;
+    }
+  }
+
+  std::vector<std::uint64_t> all;
+  for (const auto& ids : received) {
+    all.insert(all.end(), ids.begin(), ids.end());
+  }
+  ASSERT_EQ(all.size(), total);  // nothing lost, nothing duplicated
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(all.front(), 1u);
+  EXPECT_EQ(all.back(), total);
+  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end());
   EXPECT_EQ(queue.size(), 0u);
 }
 
 TEST(JobQueueMpmc, StressDeliversEveryJobExactlyOnce) {
-  const std::size_t kProducers = 4;
-  const std::size_t kConsumers = 4;
-  const std::size_t per_producer = stress_items_per_producer();
-  const std::size_t total = kProducers * per_producer;
-
-  JobQueue::Config config;
-  config.shards = 4;
-  config.shard_capacity = 1 << 12;
-  JobQueue queue(config);
-
-  std::atomic<std::size_t> popped{0};
-  std::vector<std::vector<std::uint64_t>> received(kConsumers);
-  std::vector<std::thread> consumers;
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&, c] {
-      std::size_t shard = 0;
-      bool stolen = false;
-      for (;;) {
-        const auto state = queue.pop(c, &shard, &stolen);
-        if (state == nullptr) return;  // closed
-        received[c].push_back(state->id);
-        popped.fetch_add(1, std::memory_order_acq_rel);
-      }
-    });
-  }
-
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t i = 0; i < per_producer; ++i) {
-        // Mostly ring traffic with a sprinkle of priority side-list jobs.
-        const int priority = (i % 97 == 0) ? 2 : 0;
-        const auto job = make_job(1 + p * per_producer + i, priority);
-        while (!queue.try_push(job)) {
-          std::this_thread::yield();  // ring momentarily full
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  while (popped.load(std::memory_order_acquire) < total) {
-    std::this_thread::yield();
-  }
-  queue.close();
-  for (auto& t : consumers) t.join();
-
-  std::vector<std::uint64_t> all;
-  for (const auto& ids : received) {
-    all.insert(all.end(), ids.begin(), ids.end());
-  }
-  ASSERT_EQ(all.size(), total);  // nothing lost, nothing duplicated
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all.front(), 1u);
-  EXPECT_EQ(all.back(), total);
-  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end());
-  EXPECT_EQ(queue.size(), 0u);
+  // Mostly ring traffic with a sprinkle of side-list jobs at both
+  // non-zero priority signs.  A ring smaller than the stream: producers
+  // also exercise the full-ring retry path.
+  stress_exactly_once(1 << 10, [](std::size_t i) {
+    return (i % 97 == 0) ? 2 : (i % 89 == 0) ? -1 : 0;
+  });
 }
 
 TEST(JobQueueMpmc, StressSingleShardNoStealDeliversEveryJobExactlyOnce) {
-  // The work_stealing=off service configuration collapses the queue to a
-  // single shard (Service::Config::steal -> shards=1), so every consumer
-  // contends on one ring and the steal scan never runs.  Same
-  // exactly-once contract, no-steal topology; the TSan stress leg runs
-  // this alongside the sharded variant.
-  const std::size_t kProducers = 4;
-  const std::size_t kConsumers = 4;
-  const std::size_t per_producer = stress_items_per_producer();
-  const std::size_t total = kProducers * per_producer;
-
-  JobQueue queue(one_shard(1 << 12));
-
-  std::atomic<std::size_t> popped{0};
-  std::vector<std::vector<std::uint64_t>> received(kConsumers);
-  std::vector<std::thread> consumers;
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&, c] {
-      std::size_t shard = 0;
-      bool stolen = false;
-      for (;;) {
-        const auto state = queue.pop(c, &shard, &stolen);
-        if (state == nullptr) return;  // closed
-        EXPECT_FALSE(stolen);  // one shard: nothing to steal from
-        received[c].push_back(state->id);
-        popped.fetch_add(1, std::memory_order_acq_rel);
-      }
-    });
-  }
-
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::size_t i = 0; i < per_producer; ++i) {
-        const auto job = make_job(1 + p * per_producer + i);
-        while (!queue.try_push(job)) {
-          std::this_thread::yield();  // ring momentarily full
-        }
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  while (popped.load(std::memory_order_acquire) < total) {
-    std::this_thread::yield();
-  }
-  queue.close();
-  for (auto& t : consumers) t.join();
-
-  std::vector<std::uint64_t> all;
-  for (const auto& ids : received) {
-    all.insert(all.end(), ids.begin(), ids.end());
-  }
-  ASSERT_EQ(all.size(), total);  // nothing lost, nothing duplicated
-  std::sort(all.begin(), all.end());
-  EXPECT_EQ(all.front(), 1u);
-  EXPECT_EQ(all.back(), total);
-  EXPECT_TRUE(std::adjacent_find(all.begin(), all.end()) == all.end());
-  EXPECT_EQ(queue.size(), 0u);
+  // Pure priority-0 traffic through the one FIFO ring, the configuration
+  // every service now runs: no side-list jobs, and a ring large enough
+  // that producers rarely see it full.
+  stress_exactly_once(1 << 12, [](std::size_t) { return 0; });
 }
 
 TEST(JobQueueCoalesce, MatchedPopTakesOnlySameKeyHead) {
-  JobQueue queue(one_shard());
+  JobQueue queue(1024);
   ASSERT_TRUE(queue.try_push(make_job(1, 0, /*coalesce_key=*/7)));
   ASSERT_TRUE(queue.try_push(make_job(2, 0, 7)));
   ASSERT_TRUE(queue.try_push(make_job(3, 0, 9)));
   ASSERT_TRUE(queue.try_push(make_job(4, 0, 7)));
 
-  std::size_t shard = 0;
-  bool stolen = false;
-  const auto head = queue.pop(0, &shard, &stolen);
+  const auto head = queue.pop();
   ASSERT_NE(head, nullptr);
   EXPECT_EQ(head->id, 1u);
 
   // Key 7 matches the next queued job, then stops at the key-9 head.
-  const auto second = queue.try_pop_matching(shard, 7);
+  const auto second = queue.try_pop_matching(7, /*priority=*/0);
   ASSERT_NE(second, nullptr);
   EXPECT_EQ(second->id, 2u);
-  EXPECT_EQ(queue.try_pop_matching(shard, 7), nullptr);
+  EXPECT_EQ(queue.try_pop_matching(7, 0), nullptr);
   // Key 0 never coalesces.
-  EXPECT_EQ(queue.try_pop_matching(shard, 0), nullptr);
+  EXPECT_EQ(queue.try_pop_matching(0, 0), nullptr);
 
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 3u);
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 4u);
+  EXPECT_EQ(queue.pop()->id, 3u);
+  EXPECT_EQ(queue.pop()->id, 4u);
 }
 
 TEST(JobQueueCapacity, TryPushFailsOnlyWhenRingsAreFull) {
-  JobQueue queue(one_shard(/*capacity=*/8));
+  JobQueue queue(/*ring_capacity=*/8);
   for (std::uint64_t id = 1; id <= 8; ++id) {
     ASSERT_TRUE(queue.try_push(make_job(id)));
   }
@@ -257,15 +184,13 @@ TEST(JobQueueCapacity, TryPushFailsOnlyWhenRingsAreFull) {
   // The priority side list is unbounded.
   EXPECT_TRUE(queue.try_push(make_job(10, 3)));
 
-  std::size_t shard = 0;
-  bool stolen = false;
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 10u);  // priority first
-  EXPECT_EQ(queue.pop(0, &shard, &stolen)->id, 1u);
+  EXPECT_EQ(queue.pop()->id, 10u);  // priority first
+  EXPECT_EQ(queue.pop()->id, 1u);
   EXPECT_TRUE(queue.try_push(make_job(9)));  // space again
 }
 
 TEST(JobQueueShed, VictimIsOldestLowestPriority) {
-  JobQueue queue(one_shard());
+  JobQueue queue(1024);
   ASSERT_TRUE(queue.try_push(make_job(1, 0)));
   ASSERT_TRUE(queue.try_push(make_job(2, 0)));
   ASSERT_TRUE(queue.try_push(make_job(3, -2)));
@@ -289,7 +214,7 @@ TEST(JobQueueShed, VictimIsOldestLowestPriority) {
 }
 
 TEST(JobQueueClose, PopReturnsNullAfterDrainingAndClose) {
-  JobQueue queue(one_shard());
+  JobQueue queue(1024);
   ASSERT_TRUE(queue.try_push(make_job(1)));
   ASSERT_TRUE(queue.try_push(make_job(2, 4)));
   const auto drained = queue.drain();
@@ -297,17 +222,11 @@ TEST(JobQueueClose, PopReturnsNullAfterDrainingAndClose) {
   EXPECT_EQ(queue.size(), 0u);
 
   queue.close();
-  std::size_t shard = 0;
-  bool stolen = false;
-  EXPECT_EQ(queue.pop(0, &shard, &stolen), nullptr);
+  EXPECT_EQ(queue.pop(), nullptr);
 
   // A parked consumer wakes up with nullptr when close() lands.
-  JobQueue parked(one_shard());
-  std::thread consumer([&parked] {
-    std::size_t s = 0;
-    bool st = false;
-    EXPECT_EQ(parked.pop(0, &s, &st), nullptr);
-  });
+  JobQueue parked(1024);
+  std::thread consumer([&parked] { EXPECT_EQ(parked.pop(), nullptr); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   parked.close();
   consumer.join();

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -262,7 +264,7 @@ TEST(ServiceCancel, PerJobCancelLeavesSiblingsUntouched) {
 
 // Regression for the sticky session-global cancellation: request_cancel
 // drains exactly the in-flight work and re-arms automatically; it no
-// longer poisons future jobs until reset_cancel.
+// longer poisons future jobs until an explicit reset.
 TEST(ServiceCancel, SessionCancelDrainsInFlightAndAutoRearms) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
@@ -289,9 +291,6 @@ TEST(ServiceCancel, SessionCancelDrainsInFlightAndAutoRearms) {
   const api::JobResult next = session.run(tiny_spec(2));
   ASSERT_TRUE(next.ok()) << next.error;
   EXPECT_FALSE(next.cancelled());
-
-  // The deprecated shim stays callable and changes nothing.
-  session.reset_cancel();
   EXPECT_FALSE(session.cancel_requested());
 }
 
@@ -490,7 +489,6 @@ TEST(ServiceCoalesce, CoalescedBatchKeepsEventStreamsAndResultIdentity) {
 TEST(ServiceBackpressure, RejectPolicyFailsFastWhenFull) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  options.queue_shards = 1;
   options.queue_capacity = 2;
   EventLog blocker_log;  // outlives the session (events drain into it)
   api::Session session(options);
@@ -523,7 +521,6 @@ TEST(ServiceBackpressure, RejectPolicyFailsFastWhenFull) {
 TEST(ServiceBackpressure, ShedOldestMakesRoomAndCountsShed) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  options.queue_shards = 1;
   options.queue_capacity = 2;
   EventLog blocker_log;  // outlives the session (events drain into it)
   api::Session session(options);
@@ -560,7 +557,6 @@ TEST(ServiceBackpressure, ShedOldestMakesRoomAndCountsShed) {
 TEST(ServiceBackpressure, BlockPolicyCompletesEverythingUnderOverload) {
   api::Session::Options options;
   options.scheduler_lanes = 2;
-  options.queue_shards = 1;
   options.queue_capacity = 2;  // far below the offered load
   api::Session session(options);
 
@@ -664,21 +660,19 @@ TEST(ServiceWrappers, RunBatchBitwiseIdenticalAcrossLanesAndPolicies) {
     specs[i].name = "b" + std::to_string(i);
   }
 
-  // Legacy-shaped scheduler: one lane, one exact-FIFO shard, no batching.
+  // Minimal scheduler: one lane, no batching.
   api::Session::Options legacy;
   legacy.threads = 4;
   legacy.scheduler_lanes = 1;
-  legacy.work_stealing = false;
   legacy.coalesce_limit = 1;
   api::Session legacy_session(legacy);
   const std::vector<api::JobResult> base =
       legacy_session.run_batch(specs, api::Session::BatchOptions{1});
 
-  // Full serving config: sharded queue, stealing, tight capacity.
+  // Full serving config: four lanes, coalescing, tight capacity.
   api::Session::Options serving;
   serving.threads = 4;
   serving.scheduler_lanes = 4;
-  serving.queue_shards = 2;
   serving.queue_capacity = 8;
   api::Session serving_session(serving);
   const std::vector<api::JobResult> wide =
@@ -807,50 +801,93 @@ TEST(ServiceCoalesce, MixedPriorityJobsNeverCoalesceAcrossLevels) {
          "drained: coalescing crossed priority levels";
 }
 
-TEST(ServiceSlo, QueueLatencySloShedsInsteadOfBlockingAndSurfacesGauge) {
+// Regression: a shed-oldest entrant that outranks nothing in a full queue
+// (priority -1 behind priority-0 jobs) parks until a lane makes room; it
+// used to spin on the queue for as long as the lane stayed busy.
+TEST(ServiceBackpressure, ShedOldestWithoutEligibleVictimParks) {
   api::Session::Options options;
   options.scheduler_lanes = 1;
-  options.queue_shards = 1;
-  options.queue_capacity = 2;
-  // Any nonzero queue latency violates this target, so the very first
-  // dispatched job arms the override deterministically.
-  options.queue_slo_ms = 1e-9;
-  EventLog blocker_log;
+  options.queue_capacity = 1;
+  EventLog blocker_log;  // outlives the session (events drain into it)
   api::Session session(options);
 
   api::SubmitOptions blocker_options;
   blocker_options.on_event = blocker_log.observer();
   const api::JobHandle blocker =
-      session.submit(tiny_spec(300), std::move(blocker_options));
-  // The blocker has dispatched (recording its queued_ms sample), so the
-  // rolling p95 gauge is live and above the target.
-  blocker_log.await(api::JobEvent::Kind::kStep);
-  EXPECT_GT(session.stats().queue_p95_ms, options.queue_slo_ms);
+      session.submit(tiny_spec(100000), std::move(blocker_options));
+  blocker_log.await(api::JobEvent::Kind::kStep);  // lane busy, queue empty
+  const api::JobHandle queued = session.submit(tiny_spec(2));  // now full
 
-  const api::JobHandle oldest = session.submit(tiny_spec(2));
-  const api::JobHandle second = session.submit(tiny_spec(2));
+  api::SubmitOptions shed;
+  shed.queue_policy = api::QueuePolicy::kShedOldest;
+  shed.priority = -1;
+  std::atomic<bool> admitted{false};
+  double submit_cpu_ms = 0.0;
+  api::JobHandle entrant;
+  std::thread submitter([&] {
+    timespec t0{}, t1{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
+    entrant = session.submit(tiny_spec(2), shed);
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+    submit_cpu_ms = 1e3 * static_cast<double>(t1.tv_sec - t0.tv_sec) +
+                    1e-6 * static_cast<double>(t1.tv_nsec - t0.tv_nsec);
+    admitted.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_FALSE(admitted.load(std::memory_order_acquire));  // still parked
 
-  // Default policy is kBlock; with the SLO breached the full queue must
-  // shed its oldest entry for the entrant instead of throttling it.
-  const api::JobHandle entrant = session.submit(tiny_spec(2));
-
-  const api::JobResult& shed_result = oldest.wait();
-  EXPECT_EQ(oldest.status(), api::JobStatus::kCancelled);
-  EXPECT_TRUE(shed_result.cancelled());
-  EXPECT_TRUE(shed_result.shed);
-  const api::Session::Stats stats = session.stats();
-  EXPECT_EQ(stats.jobs_shed, 1u);
-  EXPECT_EQ(stats.slo_sheds, 1u);
-  EXPECT_GT(stats.queue_p95_ms, 0.0);
-
-  blocker.cancel();
-  ASSERT_TRUE(second.wait().ok()) << second.wait().error;
+  blocker.cancel();  // the lane frees up, pops `queued`, and makes room
+  submitter.join();
+  EXPECT_LT(submit_cpu_ms, 50.0) << "the parked submitter burned CPU";
   ASSERT_TRUE(entrant.wait().ok()) << entrant.wait().error;
+  EXPECT_FALSE(entrant.wait().shed);
+  ASSERT_TRUE(queued.wait().ok()) << queued.wait().error;
+  EXPECT_FALSE(queued.wait().shed);
+  EXPECT_EQ(session.stats().jobs_shed, 0u);
+}
 
-  // Without an SLO target the same overload pattern never auto-sheds
-  // (covered by BlockPolicyCompletesEverythingUnderOverload); here just
-  // pin that the counter only moves on SLO-forced sheds.
-  EXPECT_EQ(session.stats().slo_sheds, 1u);
+// Regression: an observer that cancels a handle must not deadlock with a
+// concurrent JobHandle::cancel on another thread whose finished event is
+// waiting for that same observer call to return.
+TEST(ServiceCancel, ObserverHandleCancelRacesExternalHandleCancel) {
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool in_observer = false;
+  std::atomic<bool> armed{false};
+  api::JobHandle victim;  // cancelled from inside the observer
+
+  api::Session::Options options;
+  options.scheduler_lanes = 1;
+  options.on_event = [&](const api::JobEvent& e) {
+    if (e.kind != api::JobEvent::Kind::kStep ||
+        !armed.exchange(false, std::memory_order_acq_rel)) {
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      in_observer = true;
+    }
+    cv.notify_all();
+    // Let the main thread's cancel reach the observer serialization first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    victim.cancel();
+  };
+  api::Session session(options);
+
+  const api::JobHandle blocker = session.submit(tiny_spec(100000));
+  victim = session.submit(tiny_spec(2));
+  const api::JobHandle other = session.submit(tiny_spec(2));
+  armed.store(true, std::memory_order_release);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return in_observer; });
+  }
+  other.cancel();  // finalizes a queued job: emits its finished event
+  blocker.cancel();
+
+  EXPECT_TRUE(other.wait().cancelled());
+  EXPECT_TRUE(victim.wait().cancelled());
+  EXPECT_TRUE(blocker.wait().cancelled());
 }
 
 }  // namespace

@@ -459,20 +459,22 @@ int main(int argc, char** argv) {
     } else if (progress && tile_rows > 0) {
       // Tiles progress concurrently, so a single \r-rewritten line would
       // interleave different jobs; print whole lines at coarse intervals.
-      options.on_progress = [](const api::Progress& p) {
-        const int quarter = p.planned_steps > 4 ? p.planned_steps / 4 : 1;
-        if (p.step.step % quarter == 0 ||
-            p.step.step + 1 == p.planned_steps) {
+      options.on_event = [](const api::JobEvent& e) {
+        if (e.kind != api::JobEvent::Kind::kStep) return;
+        const int quarter = e.planned_steps > 4 ? e.planned_steps / 4 : 1;
+        if (e.step.step % quarter == 0 ||
+            e.step.step + 1 == e.planned_steps) {
           std::fprintf(stderr, "[%zu/%zu %s] step %d/%d loss %.3f\n",
-                       p.job_index + 1, p.job_count, p.job_name.c_str(),
-                       p.step.step + 1, p.planned_steps, p.step.loss);
+                       e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                       e.step.step + 1, e.planned_steps, e.step.loss);
         }
       };
     } else if (progress) {
-      options.on_progress = [](const api::Progress& p) {
+      options.on_event = [](const api::JobEvent& e) {
+        if (e.kind != api::JobEvent::Kind::kStep) return;
         std::fprintf(stderr, "\r[%zu/%zu %s] step %d/%d loss %.3f   ",
-                     p.job_index + 1, p.job_count, p.job_name.c_str(),
-                     p.step.step + 1, p.planned_steps, p.step.loss);
+                     e.batch_index + 1, e.batch_count, e.job_name.c_str(),
+                     e.step.step + 1, e.planned_steps, e.step.loss);
       };
     }
     api::Session session(options);
@@ -545,9 +547,9 @@ int main(int argc, char** argv) {
         results = watch_run(session, specs, submit_base, [&session] {
           const api::Session::Stats s = session.stats();
           std::fprintf(stderr,
-                       "[status] queued %zu | running %zu | steals %zu | "
+                       "[status] queued %zu | running %zu | "
                        "coalesced %zu | shed %zu | rejected %zu\n",
-                       s.queue_depth, s.jobs_executing, s.steals,
+                       s.queue_depth, s.jobs_executing,
                        s.coalesced_jobs, s.jobs_shed, s.jobs_rejected);
         });
       }
