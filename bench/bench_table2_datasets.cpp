@@ -1,6 +1,6 @@
 // Reproduces Table 2: "Details of the Dataset" -- per-suite statistics of
 // the synthetic benchmark clips standing in for ICCAD13 / ICCAD-L / ISPD19
-// (see DESIGN.md "Substitutions" for the generator rationale).
+// (see README.md "Bench-scale substitutions" for the generator rationale).
 #include <iostream>
 
 #include "bench_common.hpp"

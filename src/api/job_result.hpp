@@ -34,8 +34,11 @@ struct JobResult {
   std::string fft_backend;  ///< FFT kernel backend the job ran on
                             ///< ("scalar" | "avx2" | "neon"); benches and
                             ///< perf tracking key results by it
-  std::string fusion;       ///< imaging-pipeline mode the job ran under
-                            ///< ("fused" | "staged"; sim::fusion_mode_name)
+  /// Always "fused", the only imaging pipeline.  Kept because
+  /// perfbench/src reads it into its context line, and the benchmark's
+  /// sources stay fixed so that runs of different commits remain
+  /// comparable (same reason as Session::Stats::steals).
+  std::string fusion;
   std::string error;        ///< non-empty when the job failed
 
   bool ok() const noexcept { return error.empty(); }

@@ -10,7 +10,6 @@
 
 #include "api/service.hpp"
 #include "fft/kernels/kernel.hpp"
-#include "sim/pipeline.hpp"
 
 namespace bismo::api {
 namespace {
@@ -262,7 +261,7 @@ JobResult Session::execute_job(detail::JobState& state, ThreadPool* pool) {
   result.method = state.method_name;
   result.clip = state.clip_desc;
   result.fft_backend = fft::backend_name();
-  result.fusion = sim::fusion_mode_name();
+  result.fusion = "fused";
   jobs_run_.fetch_add(1, std::memory_order_relaxed);
 
   RunControl control;

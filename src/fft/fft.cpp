@@ -276,14 +276,14 @@ void Fft2dPlan::transform_cols_fused(const fft_detail::ColsFusion& fusion,
   const std::size_t r_count = rows();
   const std::size_t c_count = cols();
   const std::size_t size = r_count * c_count;
-  if (fused_cols() && kernel.pow2_cols_fused != nullptr) {
+  if (fused_cols()) {
     col_plan_.transform_columns_fused(fusion, dst.data(), c_count, c_count,
                                       inverse);
     return;
   }
-  // Staged fallback (Bluestein row counts, tiny grids, or a kernel
-  // without the fused entry): materialize the gathered/seeded input into
-  // `dst`, run the staged column pass, then the epilogue per-stage ops.
+  // Staged fallback (Bluestein row counts, tiny grids): materialize the
+  // gathered/seeded input into `dst`, run the staged column pass, then
+  // the epilogue per-stage ops.
   if (fusion.row_nonzero != nullptr) {
     for (std::size_t r = 0; r < r_count; ++r) {
       std::complex<double>* out_row = dst.data() + r * c_count;

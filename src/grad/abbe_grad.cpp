@@ -60,8 +60,7 @@ SmoGradient AbbeGradientEngine::evaluate(const RealGrid& theta_m,
 
   // When gradients are requested, capture each component's coherent field
   // during the forward intensity pass so the backward sweep seeds its
-  // adjoints from the cache instead of recomputing every transform (fused
-  // pipeline mode only -- staged mode keeps the legacy double sweep).
+  // adjoints from the cache instead of recomputing every transform.
   // With narrow pass-bands the backward sweep runs the band-restricted
   // direct adjoint and needs no fields, so capture stays disarmed.
   const bool want_backprop = request.mask || request.source;

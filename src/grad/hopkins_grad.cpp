@@ -47,7 +47,7 @@ SmoGradient HopkinsGradientEngine::evaluate(const RealGrid& theta_m) const {
   fft2(o);
 
   // Capture each kernel's coherent field during the forward pass so the
-  // backward sweep reuses it (fused pipeline mode; see FieldCaptureScope).
+  // backward sweep reuses it (see FieldCaptureScope).
   // Narrow-band models take the band-restricted direct adjoint instead
   // and never read the cache.
   sim::FieldCaptureScope capture(hopkins_->workspaces(),

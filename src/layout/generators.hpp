@@ -8,7 +8,7 @@
 // (28 nm for the via suite), metal-only vs metal+via composition, and 10 /
 // 10 / 100 default test counts.  Tiles are scaled down (default 1024 nm at
 // 256 px) to keep CPU runtimes practical; every bench prints the actual
-// configuration it ran.  See DESIGN.md "Substitutions".
+// configuration it ran.  See README.md "Bench-scale substitutions".
 #ifndef BISMO_LAYOUT_GENERATORS_HPP
 #define BISMO_LAYOUT_GENERATORS_HPP
 

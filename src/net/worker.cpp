@@ -8,7 +8,6 @@
 #include "fft/kernels/kernel.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
-#include "sim/pipeline.hpp"
 
 namespace bismo::net {
 namespace {
@@ -116,7 +115,7 @@ void Worker::reader_main(const std::shared_ptr<Connection>& conn) {
     hello.name = options_.name;
     hello.width = session_->parallel_width();
     hello.fft_backend = fft::backend_name();
-    hello.fusion = sim::fusion_mode_name();
+    hello.fusion = "fused";
     hello.self_check_ok = wire_self_check();
     if (!try_send(conn->write_mutex, conn->socket, MsgType::kHello,
                   [&](WireWriter& w) { encode_hello(w, hello); })) {

@@ -46,17 +46,6 @@ void combine_slot_partials(RealGrid& out, std::size_t nslots,
   }
 }
 
-/// Complex-grid counterpart of `combine_slot_partials`.
-template <typename Partial>
-void combine_slot_partials(ComplexGrid& out, std::size_t nslots,
-                           const Partial& partial) {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  for (std::size_t s = 0; s < nslots; ++s) {
-    const ComplexGrid& p = partial(s);
-    kernel.add_complex(out.data(), p.data(), out.size());
-  }
-}
-
 }  // namespace bismo
 
 #endif  // BISMO_PARALLEL_REDUCTION_HPP

@@ -34,12 +34,10 @@ void run_slots(const ImagingModel& model, std::size_t slots,
 }  // namespace
 
 bool adjoint_uses_band_conv(const ImagingModel& model) {
-  if (!fusion_enabled()) return false;
   const std::size_t n = model.grid_dim();
-  // Same shape gate as ImagingPipeline::build: non-power-of-two and tiny
-  // grids take the staged path in both modes, identically.
+  // Non-power-of-two and tiny grids keep the transform chains, which fall
+  // back to the staged column pass inside Fft2dPlan::transform_cols_fused.
   if (n < 8 || (n & (n - 1)) != 0) return false;
-  if (fft::active_kernel().pow2_cols_fused == nullptr) return false;
   const std::size_t comps = model.components();
   if (comps == 0) return false;
   // Direct convolution is O(nbins^2) per component against ~N log N for
@@ -56,13 +54,6 @@ bool adjoint_uses_band_conv(const ImagingModel& model) {
 void ImagingModel::field_into(const ComplexGrid& o, std::size_t c,
                               SimWorkspace& ws) const {
   ws.forward_field(o, component_band(c), nullptr, 0.0, nullptr);
-}
-
-void ImagingModel::adjoint_accumulate(std::size_t c, SimWorkspace& ws,
-                                      ComplexGrid& go) const {
-  const BandRef band = component_band(c);
-  ws.adjoint_band_accumulate(band.bins, band.vals, band.nbins, band.rows,
-                             band.nrows, go);
 }
 
 RealGrid accumulate_intensity(const ImagingModel& model, const ComplexGrid& o,
@@ -113,15 +104,12 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   if (wns != nullptr) wns->assign(items.size(), 0.0);
 
   // The band scatter only ever writes rows in the union of the mask
-  // items' band rows, so in fused mode the per-slot accumulator zeroing
-  // and the final combine are restricted to that row set.  The pattern
-  // depends only on the item list (never on the slot partition), and rows
-  // outside it are exactly zero either way, so results are unchanged.
-  // Staged mode keeps the legacy dense sweeps -- BISMO_FUSION=off stays
-  // the faithful per-stage reference.
-  const bool sparse_combine = any_mask && fusion_enabled();
-  std::vector<std::uint8_t> row_union(sparse_combine ? n : 0, 0);
-  if (sparse_combine) {
+  // items' band rows, so the per-slot accumulator zeroing and the final
+  // combine are restricted to that row set.  The pattern depends only on
+  // the item list (never on the slot partition), and rows outside it are
+  // exactly zero either way, so results are unchanged.
+  std::vector<std::uint8_t> row_union(any_mask ? n : 0, 0);
+  if (any_mask) {
     for (const AdjointItem& it : items) {
       if (!it.mask) continue;
       const BandRef band = model.component_band(it.component);
@@ -142,7 +130,7 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
     }
   };
 
-  // Band-restricted direct adjoint (fused mode, narrow bands).  With
+  // Band-restricted direct adjoint (narrow bands).  With
   // D = FFT2(dldi), the cotangent spectrum of component c is the circular
   // convolution
   //   FFT2(dldi .* field_c)[k] = (1/N) sum_j S_c[j] D[k - j],
@@ -169,14 +157,9 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
     ws.ensure(n);
     if (any_mask) {
       ComplexGrid& accum = ws.adjoint_accum();
-      if (sparse_combine) {
-        for_each_union_run([&](std::size_t row, std::size_t count) {
-          std::fill_n(accum.data() + row * n, count * n,
-                      std::complex<double>{});
-        });
-      } else {
-        accum.fill(std::complex<double>{});
-      }
+      for_each_union_run([&](std::size_t row, std::size_t count) {
+        std::fill_n(accum.data() + row * n, count * n, std::complex<double>{});
+      });
     }
     if (band_conv) {
       const std::complex<double>* dd = dspec.data();
@@ -261,21 +244,14 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
   run_slots(model, slots, task);
 
   if (!any_mask) return ComplexGrid{};
-  if (sparse_combine) {
-    ComplexGrid go(n, n);  // rows outside the band union stay exactly zero
-    for (std::size_t s = 0; s < slots; ++s) {
-      const ComplexGrid& partial = set.at(s).adjoint_accum();
-      for_each_union_run([&](std::size_t row, std::size_t count) {
-        kernel.add_complex(go.data() + row * n, partial.data() + row * n,
-                           count * n);
-      });
-    }
-    return go;
+  ComplexGrid go(n, n);  // rows outside the band union stay exactly zero
+  for (std::size_t s = 0; s < slots; ++s) {
+    const ComplexGrid& partial = set.at(s).adjoint_accum();
+    for_each_union_run([&](std::size_t row, std::size_t count) {
+      kernel.add_complex(go.data() + row * n, partial.data() + row * n,
+                         count * n);
+    });
   }
-  ComplexGrid go = set.at(0).adjoint_accum();
-  combine_slot_partials(go, slots - 1, [&](std::size_t s) -> const ComplexGrid& {
-    return set.at(s + 1).adjoint_accum();
-  });
   return go;
 }
 

@@ -16,11 +16,10 @@
 // deterministically-reduced loops that the engines used to duplicate live
 // here once (`accumulate_intensity`, `adjoint_pass`), run allocation-free
 // over per-slot workspaces, and route every component through the
-// workspace's `ImagingPipeline` -- the plan-time-specialized kernel
-// chains of sim/pipeline.hpp, fused or staged per the process fusion
-// mode.  Adding a new imaging backend means implementing the pure
-// virtuals below -- the parallel loops, reduction policy, fused chains,
-// and gradient plumbing come for free.
+// workspace's `ImagingPipeline` -- the plan-time-specialized fused
+// kernel chains of sim/pipeline.hpp.  Adding a new imaging backend means
+// implementing the pure virtuals below -- the parallel loops, reduction
+// policy, fused chains, and gradient plumbing come for free.
 #ifndef BISMO_SIM_IMAGING_MODEL_HPP
 #define BISMO_SIM_IMAGING_MODEL_HPP
 
@@ -57,16 +56,9 @@ class ImagingModel {
   virtual BandRef component_band(std::size_t c) const = 0;
 
   /// Coherent field of component `c` for mask spectrum `o`, written to
-  /// `ws.field()` through the workspace pipeline (fused or staged).
-  /// Allocation-free once `ws` is sized.
+  /// `ws.field()` through the workspace pipeline.  Allocation-free once
+  /// `ws` is sized.
   void field_into(const ComplexGrid& o, std::size_t c, SimWorkspace& ws) const;
-
-  /// Staged adjoint reference: consume the dense cotangent in
-  /// `ws.cotangent()` and accumulate conj(K_c) .* adjoint-IFFT(cotangent)
-  /// into `go` over the component's band.  (`adjoint_pass` runs the
-  /// pipeline's fused seed+transform chain instead.)
-  void adjoint_accumulate(std::size_t c, SimWorkspace& ws,
-                          ComplexGrid& go) const;
 
   /// Borrowed thread pool (null = serial).
   virtual ThreadPool* pool() const noexcept = 0;
@@ -114,11 +106,12 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
                          std::vector<double>* wns = nullptr);
 
 /// True when `adjoint_pass` will run the band-restricted direct adjoint
-/// for this model: fused mode, a fused-capable (power-of-two, >= 8) grid,
-/// and every component band narrow enough that the O(nbins^2) circular
-/// convolution beats a dense column transform.  The direct adjoint needs
-/// no coherent fields, so callers can skip arming the field capture
-/// (sim::FieldCaptureScope) when this returns true.
+/// for this model: a power-of-two grid of at least 8 (the shapes with
+/// fused column kernels), and every component band narrow enough that
+/// the O(nbins^2) circular convolution beats a dense column transform.
+/// The direct adjoint needs no coherent fields, so callers can skip
+/// arming the field capture (sim::FieldCaptureScope) when this returns
+/// true.
 bool adjoint_uses_band_conv(const ImagingModel& model);
 
 }  // namespace bismo::sim

@@ -1,11 +1,7 @@
 #include "sim/pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "fft/kernels/kernel.hpp"
 #include "fft/kernels/plan.hpp"
@@ -13,76 +9,19 @@
 
 namespace bismo::sim {
 
-namespace {
-
-// -1 = unresolved (read BISMO_FUSION on first query), 0 = staged, 1 = fused.
-std::atomic<int> g_fusion_mode{-1};
-
-int resolve_fusion_mode() {
-  const char* env = std::getenv("BISMO_FUSION");
-  if (env != nullptr) {
-    std::string v(env);
-    std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-      return static_cast<char>(std::tolower(c));
-    });
-    if (v == "off" || v == "0" || v == "false" || v == "no" || v == "staged") {
-      return 0;
-    }
-  }
-  return 1;
-}
-
-}  // namespace
-
-bool fusion_enabled() {
-  int mode = g_fusion_mode.load(std::memory_order_acquire);
-  if (mode < 0) {
-    mode = resolve_fusion_mode();
-    g_fusion_mode.store(mode, std::memory_order_release);
-  }
-  return mode == 1;
-}
-
-void set_fusion_enabled(bool on) {
-  g_fusion_mode.store(on ? 1 : 0, std::memory_order_release);
-}
-
-const char* fusion_mode_name() { return fusion_enabled() ? "fused" : "staged"; }
-
 void ImagingPipeline::build(std::size_t dim) {
   dim_ = dim;
   plan_ = Fft2dPlan(dim, dim);
-  built_mode_ = fusion_enabled();
-  fused_ = built_mode_ && plan_.fused_cols() &&
-           fft::active_kernel().pow2_cols_fused != nullptr;
-}
-
-bool ImagingPipeline::stale() const noexcept {
-  return dim_ != 0 && built_mode_ != fusion_enabled();
 }
 
 // bismo-lint: no-alloc-begin
-// The fused/staged evaluation paths run per outer-loop step on every
-// lane; all buffers are caller-owned and pre-sized by SimWorkspace.
+// The forward and adjoint chains run per outer-loop step on every lane;
+// all buffers are caller-owned and pre-sized by SimWorkspace.
 double ImagingPipeline::forward(const ComplexGrid& o, const BandRef& band,
                                 ComplexGrid& spectrum, std::uint8_t* row_flags,
                                 ComplexGrid& field, RealGrid* acc,
                                 double acc_weight, const double* wns_weights,
                                 std::complex<double>* scratch) const {
-  if (fused_) {
-    return forward_fused(o, band, spectrum, row_flags, field, acc, acc_weight,
-                         wns_weights, scratch);
-  }
-  return forward_staged(o, band, field, acc, acc_weight, wns_weights, scratch);
-}
-
-double ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
-                                      ComplexGrid& spectrum,
-                                      std::uint8_t* row_flags,
-                                      ComplexGrid& field, RealGrid* acc,
-                                      double acc_weight,
-                                      const double* wns_weights,
-                                      std::complex<double>* scratch) const {
   const fft::FftKernel& kernel = fft::active_kernel();
   const std::size_t n = dim_;
 
@@ -137,50 +76,8 @@ double ImagingPipeline::forward_fused(const ComplexGrid& o, const BandRef& band,
   }
   plan_.transform_cols_fused(fusion, field, /*inverse=*/true, scratch);
   // Both epilogues at once never happens on the hot paths; keep the rare
-  // combination correct by running the second reduction staged.
+  // combination correct by running the second reduction as its own sweep.
   if (acc != nullptr && wns_weights != nullptr) {
-    wns = kernel.weighted_norm_sum(wns_weights, field.data(), field.size());
-  }
-  return wns;
-}
-
-double ImagingPipeline::forward_staged(const ComplexGrid& o,
-                                       const BandRef& band, ComplexGrid& field,
-                                       RealGrid* acc, double acc_weight,
-                                       const double* wns_weights,
-                                       std::complex<double>* scratch) const {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = dim_;
-
-  // The legacy staged sequence, stage by stage: gather, row pass, column
-  // pass, scale, then the separate epilogue ops.
-  field.fill(std::complex<double>{});
-  if (band.vals != nullptr) {
-    for_each_index_run(band.bins, band.nbins,
-                 [&](std::size_t k, std::uint32_t start, std::size_t len) {
-                   kernel.cmul(field.data() + start, o.data() + start,
-                               band.vals + k, len);
-                 });
-  } else {
-    for_each_index_run(band.bins, band.nbins,
-                 [&](std::size_t, std::uint32_t start, std::size_t len) {
-                   std::copy(o.data() + start, o.data() + start + len,
-                             field.data() + start);
-                 });
-  }
-  for_each_index_run(band.rows, band.nrows,
-               [&](std::size_t, std::uint32_t row, std::size_t count) {
-                 plan_.transform_rows(field.data() + std::size_t{row} * n,
-                                      count, /*inverse=*/true, scratch);
-               });
-  plan_.transform_cols(field, /*inverse=*/true, scratch);
-  kernel.scale(field.data(), field.size(),
-               1.0 / static_cast<double>(field.size()));
-  if (acc != nullptr) {
-    kernel.accumulate_norm(acc->data(), field.data(), field.size(), acc_weight);
-  }
-  double wns = 0.0;
-  if (wns_weights != nullptr) {
     wns = kernel.weighted_norm_sum(wns_weights, field.data(), field.size());
   }
   return wns;
@@ -196,29 +93,19 @@ double ImagingPipeline::adjoint(const double* dldi, double scale,
   double wns = 0.0;
 
   // Column pass first (adjoint(IFFT2) = (1/N) FFT2 runs columns-then-rows
-  // so the row pass can be band-restricted).  Fused: the cotangent seed
+  // so the row pass can be band-restricted).  The cotangent seed
   // scale * dldi .* field is computed inside the first butterfly stage's
   // loads, so the seeded grid never materializes -- and the requested wns
-  // reduction sum dldi * |field|^2 rides along on the same loads.  Staged:
-  // seed, then transform in place, with a separate wns sweep.
-  if (fused_) {
-    fft_detail::ColsFusion fusion;
-    fusion.src = field.data();
-    fusion.seed = dldi;
-    fusion.seed_scale = scale;
-    if (want_wns) fusion.wns_out = &wns;
-    plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false, scratch);
-  } else {
-    if (want_wns) {
-      wns = kernel.weighted_norm_sum(dldi, field.data(), field.size());
-    }
-    kernel.seed_cotangent(cotangent.data(), dldi, field.data(), field.size(),
-                          scale);
-    plan_.transform_cols(cotangent, /*inverse=*/false, scratch);
-  }
+  // reduction sum dldi * |field|^2 rides along on the same loads.
+  fft_detail::ColsFusion fusion;
+  fusion.src = field.data();
+  fusion.seed = dldi;
+  fusion.seed_scale = scale;
+  if (want_wns) fusion.wns_out = &wns;
+  plan_.transform_cols_fused(fusion, cotangent, /*inverse=*/false, scratch);
 
-  // Shared tail: band-restricted row pass, then the scatter-accumulate
-  // into the frequency-domain gradient over contiguous bin runs.
+  // Band-restricted row pass, then the scatter-accumulate into the
+  // frequency-domain gradient over contiguous bin runs.
   for_each_index_run(band.rows, band.nrows,
                [&](std::size_t, std::uint32_t row, std::size_t count) {
                  plan_.transform_rows(cotangent.data() + std::size_t{row} * n,

@@ -15,14 +15,14 @@
 //   * the row-sparsity pattern of the pass-band (tracked as per-row flags)
 //     lets the fused gather skip rows that are exactly zero;
 //   * Bluestein and sub-8 shapes fall back to the equivalent staged
-//     sequence inside the same entry points, so callers never branch.
+//     sequence inside `Fft2dPlan::transform_cols_fused`, so callers never
+//     branch.
 //
-// The per-stage ops remain as the staged reference the fused chains are
-// verified against (tests/test_fused_pipeline.cpp), and the legacy staged
-// path stays selectable at runtime: `BISMO_FUSION=off` (or
-// `set_fusion_enabled(false)`) rebuilds pipelines in staged mode.  A fixed
-// (backend, mode) pair is bitwise deterministic across thread and lane
-// counts; fused and staged agree to <= 1e-12.
+// The fused chains are the only production path.  The per-stage sequence
+// they replace lives on as a test oracle (tests/test_fused_pipeline.cpp):
+// the chains agree with it to <= 1e-12 on power-of-two grids and bitwise
+// on the fallback shapes.  A fixed backend is bitwise deterministic
+// across thread and lane counts.
 #ifndef BISMO_SIM_PIPELINE_HPP
 #define BISMO_SIM_PIPELINE_HPP
 
@@ -47,41 +47,19 @@ struct BandRef {
   std::size_t nrows = 0;
 };
 
-/// Process-wide fusion mode: resolved once from the `BISMO_FUSION`
-/// environment variable (`off`/`0`/`false`/`staged` disable; default on).
-bool fusion_enabled();
-
-/// Override the fusion mode (tests and benches).  Pipelines built under
-/// the old mode report `stale()` and are rebuilt by `SimWorkspace::ensure`;
-/// must not race with in-flight evaluations.
-void set_fusion_enabled(bool on);
-
-/// Name of the active mode ("fused" or "staged") -- surfaced in JobResult
-/// JSON/CSV and the worker hello alongside the FFT backend.
-const char* fusion_mode_name();
-
 /// Plan-time-specialized kernel chains for one grid shape.  Built by
-/// `SimWorkspace::ensure`; immutable afterwards (rebuild to change shape
-/// or mode).  All methods are allocation-free and touch only the caller's
+/// `SimWorkspace::ensure`; immutable afterwards (rebuild to change
+/// shape).  All methods are allocation-free and touch only the caller's
 /// buffers.
 class ImagingPipeline {
  public:
   ImagingPipeline() = default;
 
-  /// Plan and specialize for dim x dim grids, capturing the process
-  /// fusion mode at build time.
+  /// Plan and specialize for dim x dim grids.
   void build(std::size_t dim);
 
   std::size_t dim() const noexcept { return dim_; }
   const Fft2dPlan& plan() const noexcept { return plan_; }
-
-  /// True when the fused chains were selected at build time (mode on and
-  /// the shape has fused kernels).
-  bool fused() const noexcept { return fused_; }
-
-  /// True when the process fusion mode changed since `build` (the owning
-  /// workspace rebuilds on its next `ensure`).
-  bool stale() const noexcept;
 
   /// Forward chain: field = (1/N) IFFT2(band .* o), with optional fused
   /// epilogues -- when `acc` is non-null, acc += acc_weight * |field|^2;
@@ -97,30 +75,18 @@ class ImagingPipeline {
 
   /// Adjoint chain: go[bins] += conj(band) .* FFT2(scale * dldi .* field)
   /// / N over the band bins, using `cotangent` as the transform buffer
-  /// (contents destroyed).  The cotangent seed never materializes on the
-  /// fused path; the staged path seeds then transforms.  When `want_wns`
+  /// (contents destroyed).  The cotangent seed never materializes: it is
+  /// computed inside the column pass's loads.  When `want_wns`
   /// is set, returns sum_i dldi[i] * |field_i|^2 (the source-gradient
-  /// reduction, folded into the fused chain's seeded loads so the field
-  /// is read exactly once); 0.0 otherwise.
+  /// reduction, folded into the same seeded loads so the field is read
+  /// exactly once); 0.0 otherwise.
   double adjoint(const double* dldi, double scale, const ComplexGrid& field,
                  const BandRef& band, ComplexGrid& cotangent, ComplexGrid& go,
                  std::complex<double>* scratch, bool want_wns = false) const;
 
  private:
-  double forward_fused(const ComplexGrid& o, const BandRef& band,
-                       ComplexGrid& spectrum, std::uint8_t* row_flags,
-                       ComplexGrid& field, RealGrid* acc, double acc_weight,
-                       const double* wns_weights,
-                       std::complex<double>* scratch) const;
-  double forward_staged(const ComplexGrid& o, const BandRef& band,
-                        ComplexGrid& field, RealGrid* acc, double acc_weight,
-                        const double* wns_weights,
-                        std::complex<double>* scratch) const;
-
   std::size_t dim_ = 0;
   Fft2dPlan plan_;
-  bool fused_ = false;
-  bool built_mode_ = true;  ///< fusion_enabled() observed at build time
 };
 
 }  // namespace bismo::sim

@@ -1,25 +1,18 @@
 #include "sim/workspace.hpp"
 
-#include <algorithm>
-
-#include "fft/kernels/kernel.hpp"
-
 namespace bismo::sim {
 
 void SimWorkspace::ensure(std::size_t dim) {
-  if (dim_ == dim && !pipeline_.stale()) return;
+  if (dim_ == dim) return;
   pipeline_.build(dim);
-  if (dim_ != dim) {
-    dim_ = dim;
-    field_.resize(dim, dim);
-    cotangent_.resize(dim, dim);
-    spectrum_.resize(dim, dim);
-    adjoint_accum_.resize(dim, dim);
-    intensity_accum_.resize(dim, dim);
-    row_flags_.assign(dim, 0);
-    fft_scratch_.assign(pipeline_.plan().scratch_size(),
-                        std::complex<double>{});
-  }
+  dim_ = dim;
+  field_.resize(dim, dim);
+  cotangent_.resize(dim, dim);
+  spectrum_.resize(dim, dim);
+  adjoint_accum_.resize(dim, dim);
+  intensity_accum_.resize(dim, dim);
+  row_flags_.assign(dim, 0);
+  fft_scratch_.assign(pipeline_.plan().scratch_size(), std::complex<double>{});
 }
 
 // bismo-lint: no-alloc-begin
@@ -43,81 +36,6 @@ double SimWorkspace::adjoint_seed_accumulate(const ComplexGrid& field,
                                              ComplexGrid& go, bool want_wns) {
   return pipeline_.adjoint(dldi, scale, field, band, cotangent_, go,
                            fft_scratch_.data(), want_wns);
-}
-
-void SimWorkspace::sparse_inverse_field(const ComplexGrid& o,
-                                        const std::uint32_t* bins,
-                                        const std::complex<double>* vals,
-                                        std::size_t nbins,
-                                        const std::uint32_t* band_rows,
-                                        std::size_t nrows) {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = dim_;
-
-  // Assemble the band-masked spectrum directly in the field buffer: zero
-  // everything, then write each contiguous bin run as one vectorized
-  // product (pass-band rows are contiguous intervals, so runs are long).
-  field_.fill(std::complex<double>{});
-  if (vals != nullptr) {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t k, std::uint32_t start, std::size_t len) {
-                   kernel.cmul(field_.data() + start, o.data() + start,
-                               vals + k, len);
-                 });
-  } else {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t, std::uint32_t start, std::size_t len) {
-                   std::copy(o.data() + start, o.data() + start + len,
-                             field_.data() + start);
-                 });
-  }
-
-  // Row pass: every run of adjacent occupied rows is one batched kernel
-  // call; all other rows are exactly zero and are skipped.
-  std::complex<double>* scratch = fft_scratch_.data();
-  for_each_index_run(band_rows, nrows,
-               [&](std::size_t, std::uint32_t row, std::size_t count) {
-                 pipeline_.plan().transform_rows(field_.data() + std::size_t{row} * n,
-                                      count, /*inverse=*/true, scratch);
-               });
-  pipeline_.plan().transform_cols(field_, /*inverse=*/true, scratch);
-  kernel.scale(field_.data(), field_.size(),
-               1.0 / static_cast<double>(field_.size()));
-}
-
-void SimWorkspace::adjoint_band_accumulate(const std::uint32_t* bins,
-                                           const std::complex<double>* vals,
-                                           std::size_t nbins,
-                                           const std::uint32_t* band_rows,
-                                           std::size_t nrows,
-                                           ComplexGrid& go) {
-  const fft::FftKernel& kernel = fft::active_kernel();
-  const std::size_t n = dim_;
-  std::complex<double>* scratch = fft_scratch_.data();
-  // adjoint(IFFT2) = (1/N) FFT2, evaluated columns-then-rows so the row pass
-  // can be restricted to the rows whose output bins are actually read --
-  // batched over runs of adjacent occupied rows.
-  pipeline_.plan().transform_cols(cotangent_, /*inverse=*/false, scratch);
-  for_each_index_run(band_rows, nrows,
-               [&](std::size_t, std::uint32_t row, std::size_t count) {
-                 pipeline_.plan().transform_rows(cotangent_.data() + std::size_t{row} * n,
-                                      count, /*inverse=*/false, scratch);
-               });
-  const double inv_n = 1.0 / static_cast<double>(cotangent_.size());
-  if (vals != nullptr) {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t k, std::uint32_t start, std::size_t len) {
-                   kernel.cmul_conj_axpy(go.data() + start,
-                                         cotangent_.data() + start, vals + k,
-                                         len, inv_n);
-                 });
-  } else {
-    for_each_index_run(bins, nbins,
-                 [&](std::size_t, std::uint32_t start, std::size_t len) {
-                   kernel.caxpy(go.data() + start, cotangent_.data() + start,
-                                len, inv_n);
-                 });
-  }
 }
 // bismo-lint: no-alloc-end
 

@@ -10,9 +10,9 @@
 // reduction.hpp) so the pooled loops of the engines perform zero heap
 // allocations and zero plan-cache lock acquisitions in steady state.
 //
-// The two sparse-spectrum transforms implemented here exploit the band
-// limit of the pupil: a pass-band touches only a few grid rows, and a 2-D
-// (I)FFT is separable, so
+// The forward and adjoint chains a workspace runs (sim/pipeline.hpp)
+// exploit the band limit of the pupil: a pass-band touches only a few
+// grid rows, and a 2-D (I)FFT is separable, so
 //   * the forward field transform runs rows-then-columns and skips the row
 //     pass for rows with no pass-band bin (their transform is exactly zero);
 //   * the adjoint transform runs columns-then-rows and skips the row pass
@@ -33,7 +33,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "fft/fft.hpp"
 #include "math/grid2d.hpp"
 #include "parallel/reduction.hpp"
 #include "sim/pipeline.hpp"
@@ -67,24 +66,15 @@ class SimWorkspace {
  public:
   SimWorkspace() = default;
 
-  /// Size every buffer and build the imaging pipeline (FFT plan + fused
-  /// kernel chain selection) for `dim` x `dim` grids.  No-op when already
-  /// sized and the pipeline matches the process fusion mode; this is the
-  /// only method that allocates.
+  /// Size every buffer and build the imaging pipeline (FFT plan) for
+  /// `dim` x `dim` grids.  No-op when already sized; this is the only
+  /// method that allocates.
   void ensure(std::size_t dim);
 
   std::size_t dim() const noexcept { return dim_; }
-  const Fft2dPlan& plan() const noexcept { return pipeline_.plan(); }
 
-  /// The plan-time-specialized kernel chains this workspace runs.
-  const ImagingPipeline& pipeline() const noexcept { return pipeline_; }
-
-  /// Coherent-field output of `sparse_inverse_field` (dense, dim x dim).
+  /// Coherent-field output of `forward_field` (dense, dim x dim).
   ComplexGrid& field() noexcept { return field_; }
-
-  /// Dense cotangent input of `adjoint_band_accumulate` (dim x dim);
-  /// the caller fills it, the call consumes it (contents are destroyed).
-  ComplexGrid& cotangent() noexcept { return cotangent_; }
 
   /// Per-slot frequency-domain gradient accumulator (g_O partial).
   ComplexGrid& adjoint_accum() noexcept { return adjoint_accum_; }
@@ -99,8 +89,7 @@ class SimWorkspace {
   /// IFFT2 of `o` restricted to `band`, with the optional epilogues fused
   /// into the column pass -- `acc != nullptr` accumulates
   /// acc += acc_weight * |field|^2, `wns_weights != nullptr` returns
-  /// sum_i wns_weights[i] * |field_i|^2 (0.0 otherwise).  Runs the fused
-  /// or staged chain per the pipeline built at `ensure` time.  When
+  /// sum_i wns_weights[i] * |field_i|^2 (0.0 otherwise).  When
   /// `field_out` is non-null the field is written there instead of the
   /// slot-local field() buffer (resized on first use) -- the hook the
   /// WorkspaceSet field cache captures through.
@@ -112,47 +101,24 @@ class SimWorkspace {
   /// Adjoint imaging chain through the pipeline:
   ///   go[band.bins] += conj(band) .* FFT2(scale * dldi .* field) / N.
   /// `field` is the coherent field the chain seeds from (typically
-  /// field() or a cached capture; must not alias cotangent()).  The fused
-  /// chain computes the cotangent seed on the fly inside the column pass;
-  /// the staged chain seeds cotangent() then transforms.  When `want_wns`
-  /// is set, returns sum_i dldi[i] * |field_i|^2 computed on the same
-  /// seeded loads (0.0 otherwise).  Destroys cotangent().
+  /// field() or a cached capture).  The chain computes the cotangent seed
+  /// on the fly inside the column pass, using the slot's cotangent grid
+  /// as its transform buffer.  When `want_wns` is set, returns
+  /// sum_i dldi[i] * |field_i|^2 computed on the same seeded loads (0.0
+  /// otherwise).
   double adjoint_seed_accumulate(const ComplexGrid& field, const double* dldi,
                                  double scale, const BandRef& band,
                                  ComplexGrid& go, bool want_wns = false);
-
-  /// field() = normalized IFFT2 of `o` restricted to a sparse band:
-  /// spectrum bin `bins[k]` contributes `o[bins[k]] * vals[k]` (`vals`
-  /// null means unit pupil values).  `band_rows` lists the sorted distinct
-  /// grid rows covered by `bins` (see `occupied_rows`); rows outside it are
-  /// exactly zero and their row transform is skipped.  Always runs the
-  /// staged per-stage sequence -- the reference the fused chains are
-  /// verified against.
-  void sparse_inverse_field(const ComplexGrid& o, const std::uint32_t* bins,
-                            const std::complex<double>* vals,
-                            std::size_t nbins, const std::uint32_t* band_rows,
-                            std::size_t nrows);
-
-  /// Adjoint of `sparse_inverse_field` as a linear operator, fused with the
-  /// band-restricted accumulation:
-  ///   go[bins[k]] += conj(vals[k]) * ifft2_adjoint(cotangent())[bins[k]].
-  /// Runs columns-then-rows and only transforms rows in `band_rows`, since
-  /// no other output bin is read.  Destroys `cotangent()`.
-  void adjoint_band_accumulate(const std::uint32_t* bins,
-                               const std::complex<double>* vals,
-                               std::size_t nbins,
-                               const std::uint32_t* band_rows,
-                               std::size_t nrows, ComplexGrid& go);
 
  private:
   std::size_t dim_ = 0;
   ImagingPipeline pipeline_;
   ComplexGrid field_;
-  ComplexGrid cotangent_;
-  ComplexGrid spectrum_;  ///< fused-chain gather buffer (band product)
+  ComplexGrid cotangent_;  ///< adjoint-chain transform buffer
+  ComplexGrid spectrum_;  ///< forward-chain gather buffer (band product)
   ComplexGrid adjoint_accum_;
   RealGrid intensity_accum_;
-  std::vector<std::uint8_t> row_flags_;  ///< fused-chain row-sparsity flags
+  std::vector<std::uint8_t> row_flags_;  ///< forward-chain row-sparsity flags
   std::vector<std::complex<double>> fft_scratch_;
 };
 
@@ -182,7 +148,7 @@ class WorkspaceSet {
   /// `component_scratch`.
   std::vector<double>& weight_scratch() noexcept { return weight_scratch_; }
 
-  // ---- Per-evaluation field cache (fused-pipeline fast path) ----------
+  // ---- Per-evaluation field cache ------------------------------------
   //
   // A gradient evaluation runs the forward chain twice per component:
   // once in the intensity pass and once in the backward sweep, which
@@ -235,14 +201,13 @@ class WorkspaceSet {
 };
 
 /// RAII arm/disarm of a WorkspaceSet's field cache for one evaluation.
-/// Arms only when the fused pipeline mode is active (`enable` lets a
-/// caller skip capture entirely, e.g. loss-only evaluations): the staged
-/// mode keeps the legacy recompute sweep it is benchmarked against.
+/// `enable` lets a caller skip capture entirely (loss-only evaluations,
+/// or a backward sweep that needs no fields; see adjoint_uses_band_conv).
 class FieldCaptureScope {
  public:
   FieldCaptureScope(WorkspaceSet& set, std::size_t components,
                     bool enable = true)
-      : set_(enable && fusion_enabled() ? &set : nullptr) {
+      : set_(enable ? &set : nullptr) {
     if (set_ != nullptr) set_->begin_field_capture(components);
   }
   ~FieldCaptureScope() {

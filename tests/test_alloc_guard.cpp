@@ -1,7 +1,8 @@
 // core::AllocGuard tests: the runtime cross-check of the static no-alloc
-// lint regions.  The guarded hot paths -- the fused/staged pipeline
-// forward+adjoint at 64x64, the JobQueue MPMC push/pop fast path -- must
-// execute with zero heap allocations once warmed up, and a steady-state
+// lint regions.  The guarded hot paths -- the pipeline forward+adjoint at
+// 64x64 and at 48x48 (the Bluestein fallback), the JobQueue MPMC push/pop
+// fast path -- must execute with zero heap allocations once warmed up,
+// and a steady-state
 // Session::run re-submission must allocate strictly less than the cold
 // first run (workspace leases and FFT plans are reused, per-step result
 // grids still allocate by design).
@@ -111,18 +112,18 @@ TEST(AllocGuardJobQueue, PushPopFastPathIsAllocationFree) {
 
 // ---- Fused pipeline ---------------------------------------------------------
 
-/// A dense low band over the first 8 rows of a 64x64 spectrum: sorted
+/// A dense low band over the first 8 rows of an n x n spectrum: sorted
 /// row-major bins plus the matching occupied-row list, the shape the Abbe
 /// engine feeds the pipeline.
 struct TestBand {
   std::vector<std::uint32_t> bins;
   std::vector<std::uint32_t> rows;
 
-  TestBand() {
+  explicit TestBand(std::uint32_t n) {
     for (std::uint32_t row = 0; row < 8; ++row) {
       rows.push_back(row);
-      for (std::uint32_t col = 0; col < 64; ++col) {
-        bins.push_back(row * 64 + col);
+      for (std::uint32_t col = 0; col < n; ++col) {
+        bins.push_back(row * n + col);
       }
     }
   }
@@ -135,19 +136,18 @@ struct TestBand {
 
 TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
   if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
-  const bool initial_mode = sim::fusion_enabled();
-  Rng rng(17);
-  const ComplexGrid o = testing::random_complex_grid(rng, 64, 64);
-  RealGrid dldi(64, 64, 0.0);
-  for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
-  const TestBand band;
-
-  for (const bool fused : {true, false}) {
-    sim::set_fusion_enabled(fused);
+  // 64 runs the fused column kernels; 48 is not a power of two and takes
+  // the Bluestein fallback inside Fft2dPlan::transform_cols_fused.
+  for (const std::uint32_t n : {64u, 48u}) {
+    Rng rng(17);
+    const ComplexGrid o = testing::random_complex_grid(rng, n, n);
+    RealGrid dldi(n, n, 0.0);
+    for (auto& v : dldi) v = rng.uniform(-1.0, 1.0);
+    const TestBand band(n);
     sim::SimWorkspace ws;
-    ws.ensure(64);
-    ComplexGrid go(64, 64);
-    RealGrid acc(64, 64, 0.0);
+    ws.ensure(n);
+    ComplexGrid go(n, n);
+    RealGrid acc(n, n, 0.0);
 
     // Warm-up pass sizes every buffer and exercises both directions.
     ws.forward_field(o, band.ref(), &acc, 0.5, nullptr);
@@ -160,9 +160,8 @@ TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
                                  go);
     }
     EXPECT_EQ(guard.allocations(), 0u)
-        << (fused ? "fused" : "staged") << " pipeline allocated";
+        << n << "x" << n << " pipeline allocated";
   }
-  sim::set_fusion_enabled(initial_mode);
 }
 
 // ---- Session steady state ---------------------------------------------------

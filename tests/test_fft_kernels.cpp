@@ -75,6 +75,34 @@ TEST(FftKernels, ScalarBackendAlwaysAvailable) {
   EXPECT_FALSE(fft::set_backend("no-such-backend"));
 }
 
+TEST(FftKernels, EveryKernelTableIsComplete) {
+  // Callers dispatch through the active kernel without null checks, so
+  // every available backend must fill every entry of its table.  The size
+  // check fails when FftKernel grows an entry this list does not cover.
+  static_assert(sizeof(fft::FftKernel) == 15 * sizeof(void*),
+                "FftKernel changed: update the entry list below");
+  for (const std::string& name : fft::available_backends()) {
+    BackendGuard guard(name);
+    ASSERT_TRUE(guard.ok()) << name;
+    const fft::FftKernel& k = fft::active_kernel();
+    EXPECT_STREQ(k.name, name.c_str());
+    EXPECT_NE(k.pow2_many, nullptr) << name;
+    EXPECT_NE(k.pow2_cols, nullptr) << name;
+    EXPECT_NE(k.pow2_cols_fused, nullptr) << name;
+    EXPECT_NE(k.scale, nullptr) << name;
+    EXPECT_NE(k.cmul, nullptr) << name;
+    EXPECT_NE(k.cmul_inplace, nullptr) << name;
+    EXPECT_NE(k.caxpy, nullptr) << name;
+    EXPECT_NE(k.cmul_conj_axpy, nullptr) << name;
+    EXPECT_NE(k.accumulate_norm, nullptr) << name;
+    EXPECT_NE(k.weighted_norm_sum, nullptr) << name;
+    EXPECT_NE(k.seed_cotangent, nullptr) << name;
+    EXPECT_NE(k.add_real, nullptr) << name;
+    EXPECT_NE(k.add_complex, nullptr) << name;
+    EXPECT_NE(k.sigmoid, nullptr) << name;
+  }
+}
+
 TEST(FftKernels, CrossBackendAgreementWithin1e12) {
   for (const auto& [rows, cols] : test_shapes()) {
     Rng rng(10 * rows + cols);

@@ -1,5 +1,6 @@
 // Fused imaging-pipeline tests (src/sim/pipeline.hpp + the
-// `pow2_cols_fused` kernel entry):
+// `pow2_cols_fused` kernel entry).  The staged per-stage sequence the
+// fused chains replaced lives on here, and only here, as the oracle:
 //
 //   * the fused column pass (gather + transform + scale + |.|^2 epilogues
 //     in one kernel chain) agrees with the staged per-stage sequence to
@@ -8,8 +9,11 @@
 //   * non-power-of-two (Bluestein) and sub-8 shapes take the exact staged
 //     fallback inside the same entry point (bitwise equal to the staged
 //     sequence);
-//   * the full engine stack under BISMO_FUSION on/off agrees to <= 1e-12,
-//     and each mode is bitwise deterministic across thread counts and
+//   * the production forward and adjoint chains agree with the staged
+//     oracle to <= 1e-12 at 64x64 and bitwise at 48x48, and the pooled
+//     `sim::adjoint_pass` matches a dense reference on both of its
+//     branches (band-restricted direct adjoint and field capture);
+//   * the engine stack is bitwise deterministic across thread counts and
 //     repeated runs;
 //   * gradcheck passes through the fused adjoint chain (mask + source
 //     gradients for Abbe, mask for Hopkins sharing workspaces).
@@ -32,6 +36,7 @@
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sim/imaging_model.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
@@ -42,19 +47,14 @@ namespace {
 using testing::max_diff;
 using testing::random_complex_grid;
 
-/// Restore the process fusion mode and FFT backend on scope exit: the
-/// suite mutates both globals, and sibling suites assume the defaults.
-class GlobalModeGuard {
+/// Restore the FFT backend on scope exit: the backend-sweeping tests
+/// switch it, and sibling suites assume the default.
+class BackendGuard {
  public:
-  GlobalModeGuard()
-      : fusion_(sim::fusion_enabled()), backend_(fft::backend_name()) {}
-  ~GlobalModeGuard() {
-    sim::set_fusion_enabled(fusion_);
-    fft::set_backend(backend_);
-  }
+  BackendGuard() : backend_(fft::backend_name()) {}
+  ~BackendGuard() { fft::set_backend(backend_); }
 
  private:
-  bool fusion_;
   std::string backend_;
 };
 
@@ -128,10 +128,89 @@ double staged_cols_reference(const Fft2dPlan& plan,
   return 0.0;
 }
 
+/// Staged oracle of the production forward chain (ImagingPipeline::
+/// forward): field = (1/N) IFFT2(band .* o) stage by stage -- gather into
+/// a zeroed grid, band-row pass, column pass, scale -- then the separate
+/// epilogue ops.  Returns the weighted-norm reduction (0 when off).
+double staged_forward_reference(const Fft2dPlan& plan, const ComplexGrid& o,
+                                const sim::BandRef& band, ComplexGrid& field,
+                                RealGrid* acc, double acc_weight,
+                                const double* wns_weights,
+                                std::complex<double>* scratch) {
+  const fft::FftKernel& kernel = fft::active_kernel();
+  const std::size_t n = field.cols();
+  field.fill(std::complex<double>{});
+  sim::for_each_index_run(
+      band.bins, band.nbins,
+      [&](std::size_t k, std::uint32_t start, std::size_t len) {
+        if (band.vals != nullptr) {
+          kernel.cmul(field.data() + start, o.data() + start, band.vals + k,
+                      len);
+        } else {
+          std::copy(o.data() + start, o.data() + start + len,
+                    field.data() + start);
+        }
+      });
+  sim::for_each_index_run(
+      band.rows, band.nrows,
+      [&](std::size_t, std::uint32_t row, std::size_t count) {
+        plan.transform_rows(field.data() + std::size_t{row} * n, count,
+                            /*inverse=*/true, scratch);
+      });
+  plan.transform_cols(field, /*inverse=*/true, scratch);
+  kernel.scale(field.data(), field.size(),
+               1.0 / static_cast<double>(field.size()));
+  if (acc != nullptr) {
+    kernel.accumulate_norm(acc->data(), field.data(), field.size(),
+                           acc_weight);
+  }
+  return wns_weights != nullptr
+             ? kernel.weighted_norm_sum(wns_weights, field.data(),
+                                        field.size())
+             : 0.0;
+}
+
+/// Staged oracle of the production adjoint chain (ImagingPipeline::
+/// adjoint): materialize the cotangent seed scale * dldi .* field, column
+/// pass, band-row pass, then the scatter-accumulate
+/// go[bins] += conj(band) .* cotangent / N.  Returns sum dldi * |field|^2.
+double staged_adjoint_reference(const Fft2dPlan& plan, const double* dldi,
+                                double scale, const ComplexGrid& field,
+                                const sim::BandRef& band, ComplexGrid& go,
+                                std::complex<double>* scratch) {
+  const fft::FftKernel& kernel = fft::active_kernel();
+  const std::size_t n = field.cols();
+  const double wns = kernel.weighted_norm_sum(dldi, field.data(),
+                                              field.size());
+  ComplexGrid cotangent(field.rows(), field.cols());
+  kernel.seed_cotangent(cotangent.data(), dldi, field.data(), field.size(),
+                        scale);
+  plan.transform_cols(cotangent, /*inverse=*/false, scratch);
+  sim::for_each_index_run(
+      band.rows, band.nrows,
+      [&](std::size_t, std::uint32_t row, std::size_t count) {
+        plan.transform_rows(cotangent.data() + std::size_t{row} * n, count,
+                            /*inverse=*/false, scratch);
+      });
+  const double inv_n = 1.0 / static_cast<double>(cotangent.size());
+  sim::for_each_index_run(
+      band.bins, band.nbins,
+      [&](std::size_t k, std::uint32_t start, std::size_t len) {
+        if (band.vals != nullptr) {
+          kernel.cmul_conj_axpy(go.data() + start, cotangent.data() + start,
+                                band.vals + k, len, inv_n);
+        } else {
+          kernel.caxpy(go.data() + start, cotangent.data() + start, len,
+                       inv_n);
+        }
+      });
+  return wns;
+}
+
 // ---- Fused column pass vs staged ops, per backend ---------------------------
 
 TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
-  GlobalModeGuard guard;
+  BackendGuard guard;
   const struct {
     std::size_t rows, cols;
   } shapes[] = {{8, 8}, {16, 8}, {32, 16}, {64, 64}};
@@ -181,7 +260,7 @@ TEST(FusedColsPass, MatchesStagedAcrossBackendsAndShapes) {
 }
 
 TEST(FusedColsPass, SeededAdjointAndWnsMatchStagedAcrossBackends) {
-  GlobalModeGuard guard;
+  BackendGuard guard;
   for (const std::string& backend : fft::available_backends()) {
     ASSERT_TRUE(fft::set_backend(backend));
     for (std::size_t n : {8u, 16u, 64u}) {
@@ -261,120 +340,204 @@ TEST(FusedColsPass, BluesteinAndTinyShapesTakeExactStagedFallback) {
   }
 }
 
-// ---- Engine stack: fused vs staged mode -------------------------------------
+// ---- Production chains vs the staged oracle ---------------------------------
 
 TEST(FusedPipeline, ForwardFieldMatchesStagedReference) {
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics();
-  const SourceGeometry geometry(7, optics);
-  const AbbeImaging abbe(optics, geometry);
-  Rng rng(41);
-  const ComplexGrid o = random_complex_grid(rng, 64, 64);
-  const RealGrid weights = random_real_grid(rng, 64, 64);
-
-  for (std::size_t c = 0; c < abbe.components(); c += 5) {
-    const sim::BandRef band = abbe.component_band(c);
-
-    // Staged mode must reproduce the legacy staged op sequence bitwise.
-    sim::set_fusion_enabled(false);
-    sim::SimWorkspace staged_ws;
-    staged_ws.ensure(optics.mask_dim);
-    ASSERT_FALSE(staged_ws.pipeline().fused());
-    RealGrid acc_staged(64, 64, 0.0);
-    const double wns_staged = staged_ws.forward_field(
-        o, band, &acc_staged, 0.5, weights.data());
-    sim::SimWorkspace legacy_ws;
-    legacy_ws.ensure(optics.mask_dim);
-    legacy_ws.sparse_inverse_field(o, band.bins, band.vals, band.nbins,
-                                   band.rows, band.nrows);
-    EXPECT_EQ(legacy_ws.field(), staged_ws.field()) << "component " << c;
-
-    // Fused mode agrees to <= 1e-12 on field, accumulator, and reduction.
-    sim::set_fusion_enabled(true);
-    sim::SimWorkspace fused_ws;
-    fused_ws.ensure(optics.mask_dim);
-    ASSERT_TRUE(fused_ws.pipeline().fused());
-    RealGrid acc_fused(64, 64, 0.0);
-    const double wns_fused =
-        fused_ws.forward_field(o, band, &acc_fused, 0.5, weights.data());
-
-    EXPECT_LE(max_diff(fused_ws.field(), staged_ws.field()), 1e-12)
-        << "component " << c;
-    EXPECT_LE(max_diff(acc_fused, acc_staged), 1e-12) << "component " << c;
-    EXPECT_NEAR(wns_fused, wns_staged,
-                1e-12 * std::max(1.0, std::abs(wns_staged)))
-        << "component " << c;
-  }
-}
-
-TEST(FusedPipeline, WorkspaceRebuildsWhenModeToggles) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
-  sim::SimWorkspace ws;
-  ws.ensure(64);
-  EXPECT_TRUE(ws.pipeline().fused());
-  sim::set_fusion_enabled(false);
-  EXPECT_TRUE(ws.pipeline().stale());
-  ws.ensure(64);
-  EXPECT_FALSE(ws.pipeline().fused());
-  EXPECT_FALSE(ws.pipeline().stale());
-}
-
-TEST(FusedPipeline, AerialAndGradientAgreeAcrossModes) {
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics();
-  const SourceGeometry geometry(7, optics);
-  const RealGrid target = cross_target(64);
-  Rng rng(51);
-  RealGrid theta_m = init_mask_params(target, {});
-  for (auto& v : theta_m) v += rng.uniform(-0.3, 0.3);
-  RealGrid theta_j =
-      init_source_params(make_source(geometry, SourceSpec{}), {});
-  for (auto& v : theta_j) v += rng.uniform(-0.5, 0.5);
-
-  SmoGradient by_mode[2];
-  RealGrid aerial_by_mode[2];
-  for (int fused = 0; fused < 2; ++fused) {
-    sim::set_fusion_enabled(fused == 1);
+  // 64 runs the fused column kernels (<= 1e-12 against the oracle); 48 is
+  // not a power of two, so transform_cols_fused takes its staged fallback
+  // and the production chain must equal the oracle bitwise.
+  for (std::size_t n : {64u, 48u}) {
+    const OpticsConfig optics = small_optics(n);
+    const SourceGeometry geometry(7, optics);
     const AbbeImaging abbe(optics, geometry);
-    const AbbeGradientEngine engine(abbe, target);
-    aerial_by_mode[fused] = engine.aerial(theta_m, theta_j);
-    by_mode[fused] = engine.evaluate(theta_m, theta_j, GradRequest{});
-  }
+    Rng rng(41 + n);
+    const ComplexGrid o = random_complex_grid(rng, n, n);
+    const RealGrid weights = random_real_grid(rng, n, n);
+    const Fft2dPlan plan(n, n);
+    std::vector<std::complex<double>> scratch(plan.scratch_size());
+    sim::SimWorkspace ws;
+    ws.ensure(n);
+    const bool exact = n == 48;
 
-  EXPECT_LE(max_diff(aerial_by_mode[0], aerial_by_mode[1]), 1e-12);
-  EXPECT_NEAR(by_mode[0].loss, by_mode[1].loss,
-              1e-12 * std::max(1.0, std::abs(by_mode[0].loss)));
-  EXPECT_LE(max_diff(by_mode[0].grad_theta_m, by_mode[1].grad_theta_m),
-            1e-10);
-  EXPECT_LE(max_diff(by_mode[0].grad_theta_j, by_mode[1].grad_theta_j),
-            1e-10);
+    for (std::size_t c = 0; c < abbe.components(); c += 5) {
+      const sim::BandRef band = abbe.component_band(c);
+      ComplexGrid ref(n, n);
+
+      // Intensity epilogue (the aerial pass).
+      RealGrid acc(n, n, 0.25);
+      RealGrid acc_ref = acc;
+      ws.forward_field(o, band, &acc, 0.5, nullptr);
+      staged_forward_reference(plan, o, band, ref, &acc_ref, 0.5, nullptr,
+                               scratch.data());
+      // Weighted-norm epilogue (the source-gradient reduction).
+      ComplexGrid wns_field(n, n);
+      const double wns = ws.forward_field(o, band, nullptr, 0.0,
+                                          weights.data(), &wns_field);
+      ComplexGrid wns_ref_field(n, n);
+      const double wns_ref =
+          staged_forward_reference(plan, o, band, wns_ref_field, nullptr, 0.0,
+                                   weights.data(), scratch.data());
+
+      if (exact) {
+        EXPECT_EQ(ws.field(), ref) << n << " component " << c;
+        EXPECT_EQ(acc, acc_ref) << n << " component " << c;
+        EXPECT_EQ(wns_field, wns_ref_field) << n << " component " << c;
+        EXPECT_EQ(wns, wns_ref) << n << " component " << c;
+      } else {
+        EXPECT_LE(max_diff(ws.field(), ref), 1e-12) << n << " component " << c;
+        EXPECT_LE(max_diff(acc, acc_ref), 1e-12) << n << " component " << c;
+        EXPECT_LE(max_diff(wns_field, wns_ref_field), 1e-12)
+            << n << " component " << c;
+        EXPECT_NEAR(wns, wns_ref, 1e-12 * std::max(1.0, std::abs(wns_ref)))
+            << n << " component " << c;
+      }
+    }
+  }
 }
 
 TEST(FusedPipeline, BluesteinGridFallsBackIdenticallyInBothModes) {
-  // 48 is not a power of two: the pipeline has no fused chain for it, so
-  // fused mode must take the exact staged path -- bitwise equal results.
-  GlobalModeGuard guard;
-  const OpticsConfig optics = small_optics(48);
+  // 48 is not a power of two: both directions of the production chain --
+  // the forward field and the seeded adjoint -- take the staged fallback
+  // inside transform_cols_fused and must equal the oracle bitwise.
+  const std::size_t n = 48;
+  const OpticsConfig optics = small_optics(n);
   const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);
   Rng rng(61);
-  const ComplexGrid o = random_complex_grid(rng, 48, 48);
-  const RealGrid source = make_source(geometry, SourceSpec{});
+  const ComplexGrid o = random_complex_grid(rng, n, n);
+  const RealGrid dldi = random_real_grid(rng, n, n);
+  const Fft2dPlan plan(n, n);
+  std::vector<std::complex<double>> scratch(plan.scratch_size());
+  sim::SimWorkspace ws;
+  ws.ensure(n);
 
-  RealGrid by_mode[2];
-  for (int fused = 0; fused < 2; ++fused) {
-    sim::set_fusion_enabled(fused == 1);
-    const AbbeImaging abbe(optics, geometry);
-    by_mode[fused] = abbe.aerial(o, source).intensity;
+  ComplexGrid go(n, n);
+  ComplexGrid go_ref(n, n);
+  for (std::size_t c = 0; c < abbe.components(); c += 3) {
+    const sim::BandRef band = abbe.component_band(c);
+    ComplexGrid field(n, n);
+    staged_forward_reference(plan, o, band, field, nullptr, 0.0, nullptr,
+                             scratch.data());
+    ws.forward_field(o, band, nullptr, 0.0, nullptr);
+    ASSERT_EQ(ws.field(), field) << "component " << c;
+
+    const double scale = 0.5 + 0.01 * static_cast<double>(c);
+    const double wns = ws.adjoint_seed_accumulate(field, dldi.data(), scale,
+                                                  band, go, /*want_wns=*/true);
+    const double wns_ref = staged_adjoint_reference(
+        plan, dldi.data(), scale, field, band, go_ref, scratch.data());
+    EXPECT_EQ(wns, wns_ref) << "component " << c;
+    EXPECT_EQ(go, go_ref) << "component " << c;
   }
-  EXPECT_EQ(by_mode[0], by_mode[1]);
+}
+
+/// Dense reference of `sim::adjoint_pass`: per item, the full-grid field
+/// (1/N) IFFT2(band .* o), then go[bins] += conj(band) .* FFT2(scale *
+/// dldi .* field) / N at the band bins and wns = sum dldi * |field|^2 --
+/// no row skipping, no fused loads, no band convolution.
+ComplexGrid dense_adjoint_reference(const sim::ImagingModel& model,
+                                    const ComplexGrid& o,
+                                    const RealGrid& dldi,
+                                    const std::vector<sim::AdjointItem>& items,
+                                    std::vector<double>& wns) {
+  const std::size_t n = model.grid_dim();
+  const double inv_n = 1.0 / static_cast<double>(n * n);
+  ComplexGrid go(n, n);
+  wns.assign(items.size(), 0.0);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const sim::BandRef band = model.component_band(items[k].component);
+    ComplexGrid field(n, n);
+    for (std::size_t i = 0; i < band.nbins; ++i) {
+      const std::uint32_t bin = band.bins[i];
+      field.data()[bin] =
+          band.vals != nullptr ? o.data()[bin] * band.vals[i] : o.data()[bin];
+    }
+    ifft2(field);
+    ComplexGrid seed(n, n);
+    for (std::size_t i = 0; i < field.size(); ++i) {
+      wns[k] += dldi.data()[i] * std::norm(field.data()[i]);
+      seed.data()[i] = items[k].scale * dldi.data()[i] * field.data()[i];
+    }
+    if (!items[k].mask) continue;
+    fft2(seed);
+    for (std::size_t i = 0; i < band.nbins; ++i) {
+      const std::uint32_t bin = band.bins[i];
+      const std::complex<double> v =
+          band.vals != nullptr ? std::conj(band.vals[i])
+                               : std::complex<double>{1.0, 0.0};
+      go.data()[bin] += v * seed.data()[bin] * inv_n;
+    }
+  }
+  return go;
+}
+
+/// Run `adjoint_pass` over every component of `model` (a mix of mask and
+/// source-only items) and compare it with the dense reference; with
+/// `capture`, the fields come from an armed FieldCaptureScope filled by
+/// `accumulate_intensity`, otherwise the pass recomputes them.
+void expect_adjoint_pass_matches_dense(const sim::ImagingModel& model,
+                                       bool capture, const char* what) {
+  const std::size_t n = model.grid_dim();
+  Rng rng(101 + n);
+  const ComplexGrid o = random_complex_grid(rng, n, n);
+  const RealGrid dldi = random_real_grid(rng, n, n);
+  std::vector<sim::AdjointItem> items(model.components());
+  std::vector<std::uint32_t> comps(items.size());
+  std::vector<double> weights(items.size(), 1.0);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    items[k].component = static_cast<std::uint32_t>(k);
+    items[k].scale = 0.5 + 0.125 * static_cast<double>(k % 7);
+    items[k].mask = k % 3 != 0;
+    comps[k] = static_cast<std::uint32_t>(k);
+  }
+
+  std::vector<double> wns;
+  ComplexGrid go;
+  {
+    sim::FieldCaptureScope scope(model.workspaces(), items.size(), capture);
+    if (capture) sim::accumulate_intensity(model, o, comps, weights);
+    go = sim::adjoint_pass(model, o, dldi, items, &wns);
+  }
+  std::vector<double> wns_ref;
+  const ComplexGrid go_ref = dense_adjoint_reference(model, o, dldi, items,
+                                                     wns_ref);
+  EXPECT_LE(max_diff(go, go_ref), 1e-10) << what;
+  ASSERT_EQ(wns.size(), wns_ref.size()) << what;
+  for (std::size_t k = 0; k < wns.size(); ++k) {
+    EXPECT_NEAR(wns[k], wns_ref[k], 1e-10) << what << " item " << k;
+  }
+}
+
+TEST(FusedPipeline, AdjointPassMatchesDenseReference) {
+  // Band-conv branch: Abbe source-point bands at 64x64 are narrow.
+  const OpticsConfig optics = small_optics();
+  const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);
+  ASSERT_TRUE(sim::adjoint_uses_band_conv(abbe));
+  expect_adjoint_pass_matches_dense(abbe, /*capture=*/false, "abbe 64");
+
+  // Field-capture branch, power-of-two grid: the SOCS kernels span the
+  // whole partially coherent band, too wide for the direct convolution.
+  const SocsDecomposition socs(abbe, make_source(geometry, SourceSpec{}), 6);
+  const HopkinsImaging hopkins(optics, socs);
+  ASSERT_FALSE(sim::adjoint_uses_band_conv(hopkins));
+  expect_adjoint_pass_matches_dense(hopkins, /*capture=*/true,
+                                    "hopkins 64 captured");
+  expect_adjoint_pass_matches_dense(hopkins, /*capture=*/false,
+                                    "hopkins 64 recomputed");
+
+  // Field-capture branch on the Bluestein fallback grid.
+  const OpticsConfig optics48 = small_optics(48);
+  const SourceGeometry geometry48(7, optics48);
+  const AbbeImaging abbe48(optics48, geometry48);
+  ASSERT_FALSE(sim::adjoint_uses_band_conv(abbe48));
+  expect_adjoint_pass_matches_dense(abbe48, /*capture=*/true,
+                                    "abbe 48 captured");
 }
 
 // ---- Determinism ------------------------------------------------------------
 
 TEST(FusedPipeline, FusedModeBitwiseDeterministicAcrossThreadCounts) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);
   const RealGrid target = cross_target(64);
@@ -411,8 +574,6 @@ TEST(FusedPipeline, FusedModeBitwiseDeterministicAcrossThreadCounts) {
 // ---- Gradcheck through the fused adjoint ------------------------------------
 
 TEST(FusedPipeline, GradcheckThroughFusedAdjointAbbe) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   ThreadPool pool(4);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);
@@ -444,8 +605,6 @@ TEST(FusedPipeline, GradcheckThroughFusedAdjointAbbe) {
 }
 
 TEST(FusedPipeline, GradcheckThroughFusedAdjointHopkins) {
-  GlobalModeGuard guard;
-  sim::set_fusion_enabled(true);
   ThreadPool pool(4);
   const OpticsConfig optics = small_optics();
   const SourceGeometry geometry(7, optics);

@@ -17,7 +17,6 @@
 
 #include "fft/kernels/kernel.hpp"
 #include "net/worker.hpp"
-#include "sim/pipeline.hpp"
 
 namespace {
 
@@ -80,10 +79,9 @@ int main(int argc, char** argv) {
   try {
     bismo::net::Worker worker(options);
     std::printf("bismo_worker listening on 127.0.0.1:%u (%s, width %zu, "
-                "fft %s, pipeline %s)\n",
+                "fft %s)\n",
                 static_cast<unsigned>(worker.port()), options.name.c_str(),
-                worker.session().width(), bismo::fft::backend_name(),
-                bismo::sim::fusion_mode_name());
+                worker.session().width(), bismo::fft::backend_name());
     std::fflush(stdout);
 
     std::signal(SIGINT, handle_signal);
