@@ -43,12 +43,17 @@ JobStatus JobHandle::status() const noexcept {
              : JobStatus::kRunning;
 }
 
-const JobResult& JobHandle::wait() const {
+const JobResult& JobHandle::wait() const& {
   static const JobResult kEmptyResult;
   if (state_ == nullptr) return kEmptyResult;
   std::unique_lock<std::mutex> lock(state_->mutex);
   state_->cv.wait(lock, [this] { return state_->finished; });
   return state_->result;
+}
+
+JobResult JobHandle::wait() && {
+  // Copy, not move: other handle copies may still read the shared result.
+  return static_cast<const JobHandle&>(*this).wait();
 }
 
 bool JobHandle::wait_for(double seconds) const {

@@ -238,7 +238,12 @@ class JobHandle {
 
   /// Block until the job reaches a terminal status and return its result.
   /// The reference stays valid while any handle copy is alive.
-  const JobResult& wait() const;
+  const JobResult& wait() const&;
+
+  /// On a temporary handle (`submit(spec).wait()`) the result is returned
+  /// by value: the handle may hold the last reference to the job state,
+  /// so a reference into it would dangle.
+  JobResult wait() &&;
 
   /// Wait up to `seconds`; true when the job finished in time.
   bool wait_for(double seconds) const;

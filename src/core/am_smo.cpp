@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "grad/hopkins_grad.hpp"
+#include "grad/source_stack.hpp"
 #include "litho/hopkins.hpp"
 
 namespace bismo {
@@ -41,23 +42,24 @@ RunResult run_am_smo(const SmoProblem& problem, AmMode mode,
   int global_step = 0;
 
   for (int cycle = 0; cycle < options.cycles && !result.cancelled; ++cycle) {
-    // ---- SO epoch (line 3): theta_M fixed. Always on the Abbe engine. ----
+    // ---- SO epoch (line 3): theta_M fixed, so every step runs over one
+    // Abbe intensity stack built at this epoch's mask (freed after it). ----
     {
       auto so_opt = make_optimizer(options.optimizer, options.lr_source);
-      GradRequest req;
-      req.mask = false;
-      req.source = true;
+      SourceStack stack(problem.engine());
+      stack.set_mask(theta_m);
+      RealGrid grad_j(theta_j.rows(), theta_j.cols(), 0.0);
       for (int step = 0; step < options.so_steps; ++step) {
         if (control.stop_requested()) {
           result.cancelled = true;
           break;
         }
-        const SmoGradient g = problem.engine().evaluate(theta_m, theta_j, req);
+        const SmoLossValue g = stack.evaluate(theta_j, grad_j);
         ++result.gradient_evaluations;
         result.trace.push_back({global_step++, w.gamma * g.l2 + w.eta * g.pvb,
                                 g.l2, g.pvb, elapsed_seconds(start)});
         control.notify(result.trace.back());
-        so_opt->step(theta_j, g.grad_theta_j);
+        so_opt->step(theta_j, grad_j);
       }
     }
     if (result.cancelled) break;

@@ -50,7 +50,9 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
   const SmoConfig& cfg = problem.config();
   const LossWeights& w = cfg.weights;
   const AbbeGradientEngine& engine = problem.engine();
-  const HypergradientOps hyper(engine, options.fd_eps_scale);
+  // One fixed-mask intensity stack per outer step serves the unroll, the
+  // HVPs and the mixed product; it is freed when the run returns.
+  const HypergradientOps hyper(engine);
 
   RunResult result;
   result.method = to_string(variant);
@@ -63,9 +65,7 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
   // CG warm start w0, re-initialized from each solve (Alg. 2 line 10).
   RealGrid cg_warm(theta_j.rows(), theta_j.cols(), 0.0);
 
-  GradRequest source_only;
-  source_only.mask = false;
-  source_only.source = true;
+  RealGrid grad_j(theta_j.rows(), theta_j.cols(), 0.0);
 
   for (int outer = 0; outer < options.outer_steps; ++outer) {
     if (control.stop_requested()) {
@@ -74,9 +74,9 @@ RunResult run_bismo(const SmoProblem& problem, BismoVariant variant,
     }
     // ---- Lower level: unroll T SO steps (Alg. 2 lines 2-4). ----
     for (int t = 0; t < options.unroll_steps; ++t) {
-      const SmoGradient g = engine.evaluate(theta_m, theta_j, source_only);
+      hyper.source_gradient(theta_m, theta_j, grad_j);
       ++result.gradient_evaluations;
-      inner_opt->step(theta_j, g.grad_theta_j);
+      inner_opt->step(theta_j, grad_j);
     }
 
     // ---- Hypergradient (Eq. 12): direct parts first. ----

@@ -41,7 +41,6 @@ struct BismoOptions {
   double lr_mask = 0.1;       ///< xi_M
   double lr_source = 0.1;     ///< xi_J (also the Neumann/FD alpha)
   double cg_damping = 0.0;    ///< Tikhonov damping for the CG solve
-  double fd_eps_scale = 1e-2; ///< HVP probe magnitude
 };
 
 /// Run BiSMO with the chosen hypergradient variant.

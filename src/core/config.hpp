@@ -41,7 +41,12 @@ struct SmoConfig {
   int unroll_steps = 3;           ///< T: inner SO steps per outer step
   int hyper_terms = 5;            ///< K: Neumann terms / CG iterations
   double cg_damping = 0.0;        ///< Tikhonov damping for BiSMO-CG
-  double fd_eps_scale = 1e-2;     ///< finite-difference probe magnitude
+  /// Unused: the second-order products are exact (grad/source_stack.hpp).
+  /// Kept because perfbench/src/ladder.cpp passes it to HypergradientOps
+  /// and the benchmark's sources stay fixed so runs of different commits
+  /// remain comparable; the wire codec still carries it (protocol v3).
+  /// Not a config key.
+  double fd_eps_scale = 1e-2;
 
   // Iteration budgets.
   int outer_steps = 40;   ///< BiSMO outer iterations / MO-only steps

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "grad/source_stack.hpp"
+
 namespace bismo {
 namespace {
 
@@ -26,21 +28,21 @@ RunResult run_source_opt(const SmoProblem& problem, const RealGrid& theta_m,
   auto opt = make_optimizer(options.optimizer, options.lr);
   PlateauDetector plateau(options.stop);
 
-  GradRequest req;
-  req.mask = false;
-  req.source = true;
+  // theta_M is frozen: every step runs over one intensity stack.
+  SourceStack stack(problem.engine());
+  stack.set_mask(theta_m);
+  RealGrid grad_j(theta_j.rows(), theta_j.cols(), 0.0);
   for (int step = 0; step < options.steps; ++step) {
     if (control.stop_requested()) {
       result.cancelled = true;
       break;
     }
-    const SmoGradient g =
-        problem.engine().evaluate(theta_m, theta_j, req);
+    const SmoLossValue g = stack.evaluate(theta_j, grad_j);
     ++result.gradient_evaluations;
     const double loss = w.gamma * g.l2 + w.eta * g.pvb;
     result.trace.push_back({step, loss, g.l2, g.pvb, elapsed_seconds(start)});
     control.notify(result.trace.back());
-    opt->step(theta_j, g.grad_theta_j);
+    opt->step(theta_j, grad_j);
     if (plateau.should_stop(loss)) break;
   }
   result.theta_j = std::move(theta_j);

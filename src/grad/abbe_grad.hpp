@@ -72,6 +72,8 @@ class AbbeGradientEngine {
   const ActivationConfig& activation() const noexcept { return activation_; }
   const LossWeights& weights() const noexcept { return weights_; }
   const ProcessWindow& process_window() const noexcept { return pw_; }
+  /// Source weights at or below this are left out of the forward image.
+  double source_cutoff() const noexcept { return source_cutoff_; }
 
  private:
   const AbbeImaging* abbe_;

@@ -1,66 +1,40 @@
 #include "grad/hvp.hpp"
 
-#include <stdexcept>
-
 #include "math/grid_ops.hpp"
 
 namespace bismo {
-namespace {
 
-/// Perturbation step: eps_scale normalized by ||v||; zero signals a zero v.
-double step_size(const RealGrid& v, double eps_scale) {
-  const double n = norm2(v);
-  if (n < 1e-30) return 0.0;
-  return eps_scale / n;
-}
-
-}  // namespace
-
-const RealGrid& HypergradientOps::perturbed(const RealGrid& theta_j,
-                                            double step,
-                                            const RealGrid& v) const {
-  if (!theta_j.same_shape(v)) {
-    throw std::invalid_argument("HypergradientOps: probe shape mismatch");
-  }
-  probe_ = theta_j;
-  for (std::size_t i = 0; i < probe_.size(); ++i) probe_[i] += step * v[i];
-  return probe_;
-}
+HypergradientOps::HypergradientOps(const AbbeGradientEngine& engine,
+                                   double /*eps_scale*/)
+    : stack_(engine) {}
 
 RealGrid HypergradientOps::hvp_source(const RealGrid& theta_m,
                                       const RealGrid& theta_j,
                                       const RealGrid& v) const {
-  const double eps = step_size(v, eps_scale_);
-  if (eps == 0.0) return RealGrid(theta_j.rows(), theta_j.cols(), 0.0);
-  GradRequest req;
-  req.mask = false;
-  req.source = true;
-  const SmoGradient plus =
-      engine_->evaluate(theta_m, perturbed(theta_j, eps, v), req);
-  const SmoGradient minus =
-      engine_->evaluate(theta_m, perturbed(theta_j, -eps, v), req);
-  evals_ += 2;
-  RealGrid out = plus.grad_theta_j - minus.grad_theta_j;
-  out *= 1.0 / (2.0 * eps);
+  RealGrid out(theta_j.rows(), theta_j.cols(), 0.0);
+  if (norm2(v) < 1e-30) return out;
+  stack_.set_mask(theta_m);
+  stack_.hvp(theta_j, v, out);
+  ++evals_;
   return out;
 }
 
 RealGrid HypergradientOps::mixed_mask_source(const RealGrid& theta_m,
                                              const RealGrid& theta_j,
                                              const RealGrid& w) const {
-  const double eps = step_size(w, eps_scale_);
-  if (eps == 0.0) return RealGrid(theta_m.rows(), theta_m.cols(), 0.0);
-  GradRequest req;
-  req.mask = true;
-  req.source = false;
-  const SmoGradient plus =
-      engine_->evaluate(theta_m, perturbed(theta_j, eps, w), req);
-  const SmoGradient minus =
-      engine_->evaluate(theta_m, perturbed(theta_j, -eps, w), req);
-  evals_ += 2;
-  RealGrid out = plus.grad_theta_m - minus.grad_theta_m;
-  out *= 1.0 / (2.0 * eps);
+  RealGrid out(theta_m.rows(), theta_m.cols(), 0.0);
+  if (norm2(w) < 1e-30) return out;
+  stack_.set_mask(theta_m);
+  stack_.mixed(theta_j, w, out);
+  ++evals_;
   return out;
+}
+
+SmoLossValue HypergradientOps::source_gradient(const RealGrid& theta_m,
+                                               const RealGrid& theta_j,
+                                               RealGrid& grad_theta_j) const {
+  stack_.set_mask(theta_m);
+  return stack_.evaluate(theta_j, grad_theta_j);
 }
 
 }  // namespace bismo

@@ -52,6 +52,26 @@ SmoLoss evaluate_smo_loss(const RealGrid& intensity, const RealGrid& target,
                           const LossWeights& weights, const ProcessWindow& pw,
                           bool want_backprop);
 
+/// Loss terms without the gradient grids.
+struct SmoLossValue {
+  double total = 0.0;  ///< gamma * l2 + eta * pvb
+  double l2 = 0.0;
+  double pvb = 0.0;
+};
+
+/// Lsmo plus its first and (diagonal) second derivative in I, written
+/// into caller-owned buffers (resized on first use, so repeated calls
+/// allocate nothing) -- the seed of the exact second-order products
+/// (grad/source_stack.hpp).  With s_c = Z_c (1 - Z_c) per dose corner,
+///   d2L/dI2 = (1/Npx) sum_c w_c 2 beta^2 d_c^4 s_c (s_c + (Z_c - Zt)(1 - 2 Z_c)).
+/// The value and dL/dI repeat evaluate_smo_loss's per-pixel arithmetic.
+SmoLossValue evaluate_smo_loss_curvature(const RealGrid& intensity,
+                                         const RealGrid& target,
+                                         const ResistModel& resist,
+                                         const LossWeights& weights,
+                                         const ProcessWindow& pw,
+                                         RealGrid& dl_di, RealGrid& d2l_di2);
+
 }  // namespace bismo
 
 #endif  // BISMO_GRAD_LOSS_HPP

@@ -84,6 +84,27 @@ RealGrid source_activation_derivative(const RealGrid& theta_j,
   return d;
 }
 
+PointActivation activate_source_point(double theta,
+                                      const ActivationConfig& cfg) {
+  const double a = cfg.alpha_source;
+  PointActivation out;
+  if (cfg.kind == ActivationKind::kSigmoid) {
+    const double j = sigmoid(a * theta);
+    const double s = sigmoid_derivative_from_output(j);
+    out.value = j;
+    out.d1 = a * s;
+    out.d2 = a * a * s * (1.0 - 2.0 * j);
+    return out;
+  }
+  const double x = a * theta;
+  out.value = cosine_act(x);
+  if (x > -1.0 && x < 1.0) {
+    out.d1 = a * cosine_act_derivative(x);
+    out.d2 = -a * a * 0.5 * kHalfPi * kHalfPi * std::sin(x * kHalfPi);
+  }
+  return out;
+}
+
 RealGrid init_mask_params(const RealGrid& target,
                           const ActivationConfig& cfg) {
   return map(target, [&cfg](double t) {

@@ -47,6 +47,20 @@ RealGrid source_activation_derivative(const RealGrid& theta_j,
                                       const SourceGeometry& geometry,
                                       const ActivationConfig& cfg);
 
+/// One source point's activation j = act(alpha_j * theta) with its first
+/// and second derivatives in theta (zero where the cosine saturates).
+struct PointActivation {
+  double value = 0.0;
+  double d1 = 0.0;
+  double d2 = 0.0;
+};
+
+/// Scalar activation of one valid source point, matching
+/// activate_source / source_activation_derivative to rounding; d2 is the
+/// activation curvature term of the exact source HVP.
+PointActivation activate_source_point(double theta,
+                                      const ActivationConfig& cfg);
+
 /// theta_M initialization from a binary target pattern: +m0 where the
 /// target is 1, -m0 elsewhere (Table 1; the initial mask is the target,
 /// which also seeds SRAF growth during MO).

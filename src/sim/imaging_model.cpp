@@ -43,10 +43,9 @@ bool adjoint_uses_band_conv(const ImagingModel& model) {
   // Direct convolution is O(nbins^2) per component against ~N log N for
   // the transform chain; all-or-nothing so one wide band (e.g. a dense
   // SOCS kernel) keeps the whole pass on the cached-field chains.
-  const std::size_t budget = 2 * n * n;
+  const std::size_t max_bins = band_conv_max_bins(n);
   for (std::size_t c = 0; c < comps; ++c) {
-    const BandRef b = model.component_band(c);
-    if (b.nbins * b.nbins > budget) return false;
+    if (model.component_band(c).nbins > max_bins) return false;
   }
   return true;
 }
@@ -162,51 +161,16 @@ ComplexGrid adjoint_pass(const ImagingModel& model, const ComplexGrid& o,
       });
     }
     if (band_conv) {
-      const std::complex<double>* dd = dspec.data();
-      const std::uint32_t un = static_cast<std::uint32_t>(n);
       const double nn = static_cast<double>(n) * static_cast<double>(n);
       const double inv_n2 = 1.0 / (nn * nn);
-      std::vector<std::complex<double>> sval;
-      std::vector<std::uint32_t> brow;
-      std::vector<std::uint32_t> bcol;
       for (std::size_t k = range.begin; k < range.end; ++k) {
         const AdjointItem& item = items[k];
         if (!item.mask && wns == nullptr) continue;
-        const BandRef band = model.component_band(item.component);
-        const std::size_t nb = band.nbins;
-        sval.resize(nb);
-        brow.resize(nb);
-        bcol.resize(nb);
-        for (std::size_t i = 0; i < nb; ++i) {
-          const std::uint32_t bin = band.bins[i];
-          brow[i] = bin / un;
-          bcol[i] = bin % un;
-          sval[i] = band.vals != nullptr ? o.data()[bin] * band.vals[i]
-                                         : o.data()[bin];
-        }
         std::complex<double>* accum =
             item.mask ? ws.adjoint_accum().data() : nullptr;
-        const double go_fac = item.scale * inv_n2;
-        double wacc = 0.0;
-        for (std::size_t i = 0; i < nb; ++i) {
-          const std::uint32_t ri = brow[i];
-          const std::uint32_t ci = bcol[i];
-          std::complex<double> u{};
-          for (std::size_t j = 0; j < nb; ++j) {
-            const std::uint32_t dr =
-                ri >= brow[j] ? ri - brow[j] : ri + un - brow[j];
-            const std::uint32_t dc =
-                ci >= bcol[j] ? ci - bcol[j] : ci + un - bcol[j];
-            u += sval[j] * dd[std::size_t{dr} * n + dc];
-          }
-          wacc += sval[i].real() * u.real() + sval[i].imag() * u.imag();
-          if (accum != nullptr) {
-            const std::complex<double> v =
-                band.vals != nullptr ? std::conj(band.vals[i])
-                                     : std::complex<double>{1.0, 0.0};
-            accum[band.bins[i]] += v * u * go_fac;
-          }
-        }
+        const double wacc = ws.band_conv_adjoint(
+            o, model.component_band(item.component), dspec.data(),
+            item.scale * inv_n2, accum);
         if (wns != nullptr) (*wns)[k] = wacc * inv_n2;
       }
       return;

@@ -56,6 +56,10 @@ inline void for_each_index_run(const std::uint32_t* idx, std::size_t n,
   }
 }
 
+/// Widest band the band-restricted direct adjoint runs on for a dim x dim
+/// grid: the largest nbins with nbins^2 <= 2 dim^2 (adjoint_uses_band_conv).
+std::size_t band_conv_max_bins(std::size_t dim);
+
 /// Scratch state for one worker slot of an imaging-engine loop.
 ///
 /// Buffers are sized lazily by `ensure`; once sized for a grid dimension,
@@ -110,6 +114,18 @@ class SimWorkspace {
                                  double scale, const BandRef& band,
                                  ComplexGrid& go, bool want_wns = false);
 
+  /// Band-restricted direct adjoint of one component, the narrow-band
+  /// branch of `adjoint_pass` (see there for the math).  With
+  /// S = o .* band over the band bins and u = (D (*) S) restricted to the
+  /// band, D = `dspec` (the dense FFT2 of the cotangent seed), adds
+  ///   go[band.bins] += conj(band) .* u * go_scale
+  /// when `go` is non-null and returns Re sum conj(S) .* u, unscaled.  The
+  /// band scratch is sized by `ensure` for every band adjoint_pass runs
+  /// this on (band_conv_max_bins); a wider band grows it.
+  double band_conv_adjoint(const ComplexGrid& o, const BandRef& band,
+                           const std::complex<double>* dspec, double go_scale,
+                           std::complex<double>* go);
+
  private:
   std::size_t dim_ = 0;
   ImagingPipeline pipeline_;
@@ -120,6 +136,13 @@ class SimWorkspace {
   RealGrid intensity_accum_;
   std::vector<std::uint8_t> row_flags_;  ///< forward-chain row-sparsity flags
   std::vector<std::complex<double>> fft_scratch_;
+  // Band-conv scratch: S over the band bins and each bin's grid row and
+  // column.  Sized in ensure() with the other buffers: a first-use growth
+  // inside the pooled passes would land between transient allocations of
+  // the worker's malloc arena and pin them (higher peak RSS).
+  std::vector<std::complex<double>> band_vals_;
+  std::vector<std::uint32_t> band_row_;
+  std::vector<std::uint32_t> band_col_;
 };
 
 /// One workspace per deterministic-reduction slot, shared by every engine

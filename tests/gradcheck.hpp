@@ -1,15 +1,35 @@
-#include "grad/gradcheck.hpp"
+// Numerical gradient checking harness: compares analytic gradients against
+// central finite differences of the loss on a random probe subset of
+// parameters.  The test suite's oracle for every hand-derived adjoint;
+// finite differences live only in tests.
+#ifndef BISMO_TESTS_GRADCHECK_HPP
+#define BISMO_TESTS_GRADCHECK_HPP
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 #include <stdexcept>
+
+#include "math/grid2d.hpp"
+#include "math/rng.hpp"
 
 namespace bismo {
 
-GradCheckResult check_gradient(
+/// Result of a gradient check.
+struct GradCheckResult {
+  double max_abs_error = 0.0;  ///< max |analytic - numeric| over probes
+  double max_rel_error = 0.0;  ///< max relative error (guarded denominator)
+  std::size_t probes = 0;      ///< number of entries checked
+};
+
+/// Check `analytic_grad` against central differences of `loss_fn` at
+/// `params`, probing `probes` randomly chosen entries with step `eps`.
+/// `loss_fn` must be deterministic.
+inline GradCheckResult check_gradient(
     const std::function<double(const RealGrid&)>& loss_fn,
     const RealGrid& params, const RealGrid& analytic_grad, Rng& rng,
-    std::size_t probes, double eps) {
+    std::size_t probes = 24, double eps = 1e-5) {
   if (!params.same_shape(analytic_grad)) {
     throw std::invalid_argument("check_gradient: shape mismatch");
   }
@@ -48,3 +68,5 @@ GradCheckResult check_gradient(
 }
 
 }  // namespace bismo
+
+#endif  // BISMO_TESTS_GRADCHECK_HPP

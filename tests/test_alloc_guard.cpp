@@ -1,8 +1,8 @@
 // core::AllocGuard tests: the runtime cross-check of the static no-alloc
 // lint regions.  The guarded hot paths -- the pipeline forward+adjoint at
-// 64x64 and at 48x48 (the Bluestein fallback), the JobQueue MPMC push/pop
-// fast path -- must execute with zero heap allocations once warmed up,
-// and a steady-state
+// 64x64 and at 48x48 (the Bluestein fallback), the band-restricted direct
+// adjoint at 128x128, the JobQueue MPMC push/pop fast path -- must execute
+// with zero heap allocations once warmed up, and a steady-state
 // Session::run re-submission must allocate strictly less than the cold
 // first run (workspace leases and FFT plans are reused, per-step result
 // grids still allocate by design).
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <memory>
@@ -21,8 +22,10 @@
 #include "api/api.hpp"
 #include "api/job_queue.hpp"
 #include "core/alloc_guard.hpp"
+#include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"
+#include "sim/imaging_model.hpp"
 #include "sim/pipeline.hpp"
 #include "sim/workspace.hpp"
 #include "test_util.hpp"
@@ -162,6 +165,38 @@ TEST(AllocGuardPipeline, ForwardAndAdjointAt64AreAllocationFree) {
     EXPECT_EQ(guard.allocations(), 0u)
         << n << "x" << n << " pipeline allocated";
   }
+}
+
+TEST(AllocGuardPipeline, BandConvAdjointIsAllocationFree) {
+  if (!AllocGuard::enforced()) GTEST_SKIP() << "sanitizer build";
+  // 128^2 at 8 nm: narrow bands, so adjoint_pass takes the band-restricted
+  // direct adjoint; its per-component sweep runs on workspace scratch.
+  const OpticsConfig optics{193.0, 1.35, 128, 8.0, 0.0};
+  const SourceGeometry geometry(7, optics);
+  const AbbeImaging abbe(optics, geometry);
+  ASSERT_TRUE(sim::adjoint_uses_band_conv(abbe));
+  Rng rng(19);
+  const ComplexGrid o = testing::random_complex_grid(rng, 128, 128);
+  const ComplexGrid dspec = testing::random_complex_grid(rng, 128, 128);
+  sim::SimWorkspace ws;
+  ws.ensure(128);
+  ComplexGrid go(128, 128);
+
+  // ensure() sized the band scratch; one warm-up pass touches every band.
+  for (std::size_t c = 0; c < abbe.components(); ++c) {
+    ws.band_conv_adjoint(o, abbe.component_band(c), dspec.data(), 0.5,
+                         go.data());
+  }
+  AllocGuard guard;
+  double wns = 0.0;
+  for (int step = 0; step < 2; ++step) {
+    for (std::size_t c = 0; c < abbe.components(); ++c) {
+      wns += ws.band_conv_adjoint(o, abbe.component_band(c), dspec.data(),
+                                  0.5, c % 2 == 0 ? go.data() : nullptr);
+    }
+  }
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_TRUE(std::isfinite(wns));
 }
 
 // ---- Session steady state ---------------------------------------------------

@@ -14,7 +14,7 @@
 #include "fft/fft.hpp"
 #include "fft/kernels/kernel.hpp"
 #include "grad/abbe_grad.hpp"
-#include "grad/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "litho/abbe.hpp"
 #include "litho/activation.hpp"
 #include "math/grid_ops.hpp"

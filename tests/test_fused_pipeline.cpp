@@ -29,7 +29,7 @@
 #include "fft/kernels/kernel.hpp"
 #include "fft/kernels/plan.hpp"
 #include "grad/abbe_grad.hpp"
-#include "grad/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "grad/hopkins_grad.hpp"
 #include "litho/abbe.hpp"
 #include "litho/hopkins.hpp"

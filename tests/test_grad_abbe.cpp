@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "grad/abbe_grad.hpp"
-#include "grad/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "litho/abbe.hpp"
 #include "math/grid_ops.hpp"
 #include "math/rng.hpp"

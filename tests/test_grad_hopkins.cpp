@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "grad/abbe_grad.hpp"
-#include "grad/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "grad/hopkins_grad.hpp"
 #include "litho/hopkins.hpp"
 #include "math/grid_ops.hpp"

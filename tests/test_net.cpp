@@ -294,7 +294,7 @@ TEST(NetWorkerLifecycle, StopIsOrderlyAndIdempotent) {
   {
     net::Dispatcher dispatcher(single(worker));
     ASSERT_EQ(dispatcher.wait_for_workers(1, 30.0), 1u);
-    const api::JobResult& r = dispatcher.submit(tiny_spec(2)).wait();
+    const api::JobResult r = dispatcher.submit(tiny_spec(2)).wait();
     ASSERT_TRUE(r.ok()) << r.error;
   }
   worker.stop();

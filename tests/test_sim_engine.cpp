@@ -18,7 +18,7 @@
 
 #include "fft/fft.hpp"
 #include "grad/abbe_grad.hpp"
-#include "grad/gradcheck.hpp"
+#include "gradcheck.hpp"
 #include "grad/hopkins_grad.hpp"
 #include "litho/abbe.hpp"
 #include "litho/hopkins.hpp"
